@@ -29,7 +29,7 @@
 //! ([`HealthPolicy::restore_tranche`]), so a just-recovered device is not
 //! hit with the whole re-fault burst at once.
 
-use hipec_vm::FrameId;
+use hipec_vm::{FrameId, VmCounter};
 
 use crate::error::HipecError;
 use crate::kernel::HipecKernel;
@@ -118,7 +118,7 @@ impl HipecKernel {
         match self.containers[cidx].health.state {
             HealthState::Healthy if strikes >= self.health_policy.degrade_after => {
                 self.containers[cidx].health.state = HealthState::Degraded;
-                self.vm.stats.bump("hipec_degrades");
+                self.vm.stats.bump(VmCounter::HipecDegrades);
                 self.emit(TraceEvent::HealthDegraded {
                     container: self.containers[cidx].key,
                     strikes,
@@ -162,7 +162,7 @@ impl HipecKernel {
             obj.container = None;
         }
         self.revert_stranded_frames(cidx);
-        self.vm.stats.bump("hipec_quarantines");
+        self.vm.stats.bump(VmCounter::HipecQuarantines);
         self.emit(TraceEvent::Quarantined {
             container: self.containers[cidx].key,
             reclaimed,
@@ -356,7 +356,7 @@ impl HipecKernel {
         health.interval_strikes = 0;
         health.clean_intervals = 0;
         health.restores += 1;
-        self.vm.stats.bump("hipec_restores");
+        self.vm.stats.bump(VmCounter::HipecRestores);
         self.emit(TraceEvent::FallbackRestored {
             container: self.containers[cidx].key,
             readmitted,

@@ -13,7 +13,7 @@ use hipec_sim::SimDuration;
 use hipec_vm::VmEvent;
 use hipec_vm::{
     AccessOutcome, AccessResult, Backing, DeviceId, Kernel, KernelParams, ObjectId, TaskId, VAddr,
-    VmError,
+    VmCounter, VmError,
 };
 
 use crate::admission::{AdmissionControl, AdmitReject, ShareClass};
@@ -416,7 +416,7 @@ impl HipecKernel {
                 .admit(share, min_frames, class_frames, self.gfm.partition_burst)
         {
             let throttled = why == AdmitReject::Throttled;
-            self.vm.stats.bump("admission_rejects");
+            self.vm.stats.bump(VmCounter::AdmissionRejects);
             self.emit(TraceEvent::AdmissionRejected {
                 class: share.index() as u8,
                 asked: min_frames,
@@ -452,7 +452,7 @@ impl HipecKernel {
         self.containers.push(container);
         // Installing the policy costs one system call.
         self.vm.charge(self.vm.cost.null_syscall);
-        self.vm.stats.bump("hipec_installs");
+        self.vm.stats.bump(VmCounter::HipecInstalls);
         self.emit(TraceEvent::Install {
             container: key,
             min_frames,
@@ -585,7 +585,7 @@ impl HipecKernel {
             obj.container = None;
         }
         self.revert_stranded_frames(cidx);
-        self.vm.stats.bump("hipec_kills");
+        self.vm.stats.bump(VmCounter::HipecKills);
         self.emit(TraceEvent::Terminated {
             container: self.containers[cidx].key,
             graceful: false,
@@ -798,7 +798,7 @@ impl HipecKernel {
         self.vm.object_mut(object)?.container = None;
         self.revert_stranded_frames(cidx);
         let freed = self.vm.vm_deallocate(task, addr)?;
-        self.vm.stats.bump("hipec_deallocations");
+        self.vm.stats.bump(VmCounter::HipecDeallocations);
         self.emit(TraceEvent::Terminated {
             container: key.0,
             graceful: true,

@@ -91,7 +91,9 @@ pub use manager::GlobalFrameManager;
 pub use metrics::{ContainerCounters, DeviceRow, KernelStats};
 pub use obs::{stats_export, LatencyMetric, LatencyRow, ObsState};
 pub use operand::{KernelVar, OperandDecl, OperandSlot};
-pub use program::{PolicyProgram, WireError, EVENT_PAGE_FAULT, EVENT_RECLAIM_FRAME, HIPEC_MAGIC};
+pub use program::{
+    PolicyProgram, WireError, EVENT_PAGE_FAULT, EVENT_RECLAIM_FRAME, HIPEC_MAGIC, OPERAND_SLOTS,
+};
 pub use trace::{
     event_kind, render_jsonl, CountingSink, EventRing, JsonlSink, MemorySink, TraceEvent,
     TraceRecord, TraceSink,

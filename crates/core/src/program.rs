@@ -27,6 +27,9 @@ pub const EVENT_RECLAIM_FRAME: u8 = 1;
 pub const HIPEC_MAGIC: u32 = 0x4869_5045;
 /// Wire-format version.
 pub const WIRE_VERSION: u32 = 1;
+/// Entries in a container's operand array: the most declarations a
+/// command buffer may carry.
+pub const OPERAND_SLOTS: u32 = 256;
 
 /// A complete application policy.
 #[derive(Debug, Clone)]
@@ -91,6 +94,8 @@ pub enum WireError {
     BadDeclTag(u32),
     /// A kernel-variable code is unknown.
     BadKernelVar(u32),
+    /// The buffer declares more operands than the operand array holds.
+    TooManyDecls(u32),
 }
 
 impl std::fmt::Display for WireError {
@@ -101,6 +106,10 @@ impl std::fmt::Display for WireError {
             WireError::Truncated => write!(f, "truncated command buffer"),
             WireError::BadDeclTag(t) => write!(f, "unknown operand declaration tag {t}"),
             WireError::BadKernelVar(v) => write!(f, "unknown kernel variable code {v}"),
+            WireError::TooManyDecls(n) => write!(
+                f,
+                "{n} operand declarations; the operand array holds {OPERAND_SLOTS}"
+            ),
         }
     }
 }
@@ -210,23 +219,33 @@ impl PolicyProgram {
     ///
     /// Event names are not part of the wire format; decoded programs get
     /// `event<N>` placeholders.
+    ///
+    /// The buffer is untrusted: every count it carries is checked against
+    /// the words that remain before anything is allocated for it, so the
+    /// allocation is bounded by the input length and a corrupt count is a
+    /// typed error rather than an abort.
     pub fn from_words(words: &[u32]) -> Result<PolicyProgram, WireError> {
         let mut it = words.iter().copied();
-        let mut next = || it.next().ok_or(WireError::Truncated);
-        let magic = next()?;
+        fn next(it: &mut impl Iterator<Item = u32>) -> Result<u32, WireError> {
+            it.next().ok_or(WireError::Truncated)
+        }
+        let magic = next(&mut it)?;
         if magic != HIPEC_MAGIC {
             return Err(WireError::BadMagic(magic));
         }
-        let version = next()?;
+        let version = next(&mut it)?;
         if version != WIRE_VERSION {
             return Err(WireError::BadVersion(version));
         }
-        let ndecls = next()?;
-        let mut decls = Vec::with_capacity(ndecls as usize);
+        let ndecls = next(&mut it)?;
+        if ndecls > OPERAND_SLOTS {
+            return Err(WireError::TooManyDecls(ndecls));
+        }
+        let mut decls = Vec::with_capacity((ndecls as usize).min(it.len() / 3));
         for _ in 0..ndecls {
-            let tag = next()?;
-            let p1 = next()?;
-            let p2 = next()?;
+            let tag = next(&mut it)?;
+            let p1 = next(&mut it)?;
+            let p2 = next(&mut it)?;
             decls.push(match tag {
                 0 => OperandDecl::Int((((p1 as u64) << 32) | p2 as u64) as i64),
                 1 => OperandDecl::Bool(p1 != 0),
@@ -242,14 +261,16 @@ impl PolicyProgram {
                 t => return Err(WireError::BadDeclTag(t)),
             });
         }
-        let nevents = next()?;
-        let mut events = Vec::with_capacity(nevents as usize);
-        let mut event_names = Vec::with_capacity(nevents as usize);
+        let nevents = next(&mut it)?;
+        // Each event takes at least its length word.
+        let cap = (nevents as usize).min(it.len());
+        let mut events = Vec::with_capacity(cap);
+        let mut event_names = Vec::with_capacity(cap);
         for i in 0..nevents {
-            let len = next()?;
-            let mut cmds = Vec::with_capacity(len as usize);
+            let len = next(&mut it)?;
+            let mut cmds = Vec::with_capacity((len as usize).min(it.len()));
             for _ in 0..len {
-                cmds.push(RawCmd(next()?));
+                cmds.push(RawCmd(next(&mut it)?));
             }
             events.push(Arc::new(cmds));
             event_names.push(format!("event{i}"));
@@ -365,6 +386,52 @@ mod tests {
         );
     }
 
+    /// Word images whose counts once reached `Vec::with_capacity` unchecked
+    /// and aborted the process with multi-gigabyte allocations.
+    #[test]
+    fn wire_rejects_oversized_counts_without_allocating_them() {
+        let words = sample().to_words();
+        let ndecls_at = 2;
+        let nevents_at = 3 + 3 * words[ndecls_at] as usize;
+        let len_at = nevents_at + 1;
+        for huge in [u32::MAX, 0x8000_0000, 0x0100_0000] {
+            let mut w = words.clone();
+            w[ndecls_at] = huge;
+            assert_eq!(
+                PolicyProgram::from_words(&w).expect_err("ndecls"),
+                WireError::TooManyDecls(huge)
+            );
+            for at in [nevents_at, len_at] {
+                let mut w = words.clone();
+                w[at] = huge;
+                assert_eq!(
+                    PolicyProgram::from_words(&w).expect_err("count"),
+                    WireError::Truncated
+                );
+            }
+        }
+        for image in [
+            &[HIPEC_MAGIC, WIRE_VERSION, 0, u32::MAX][..],
+            &[HIPEC_MAGIC, WIRE_VERSION, 0, 1, u32::MAX][..],
+        ] {
+            assert_eq!(
+                PolicyProgram::from_words(image).expect_err("count"),
+                WireError::Truncated
+            );
+        }
+        // The slot limit itself: 256 declarations decode, 257 do not.
+        let mut full = vec![HIPEC_MAGIC, WIRE_VERSION, OPERAND_SLOTS];
+        full.extend([2, 0, 0].repeat(OPERAND_SLOTS as usize));
+        full.push(0);
+        let p = PolicyProgram::from_words(&full).expect("256 declarations");
+        assert_eq!(p.decls.len(), OPERAND_SLOTS as usize);
+        full[2] = OPERAND_SLOTS + 1;
+        assert_eq!(
+            PolicyProgram::from_words(&full).expect_err("257 declarations"),
+            WireError::TooManyDecls(OPERAND_SLOTS + 1)
+        );
+    }
+
     #[test]
     fn json_round_trip() {
         let p = sample();
@@ -382,5 +449,6 @@ mod tests {
     fn wire_errors_display() {
         assert!(WireError::Truncated.to_string().contains("truncated"));
         assert!(WireError::BadKernelVar(9).to_string().contains("9"));
+        assert!(WireError::TooManyDecls(300).to_string().contains("300"));
     }
 }

@@ -4,7 +4,7 @@
 //! blocks, in creation order — the layout a 1990s paging partition would
 //! produce for the single-application experiments in the paper.
 
-use std::collections::HashMap;
+use hipec_sim::IntMap;
 
 use crate::model::Lba;
 
@@ -28,7 +28,7 @@ struct Extent {
 /// short-lived and a paging partition does not need compaction fidelity.
 #[derive(Debug, Clone, Default)]
 pub struct BackingStore {
-    extents: HashMap<u64, Extent>,
+    extents: IntMap<u64, Extent>,
     next_free: u64,
     capacity: u64,
 }
@@ -83,7 +83,7 @@ impl BackingStore {
     /// Creates a store over a device with the given page capacity.
     pub fn new(capacity_pages: u64) -> Self {
         BackingStore {
-            extents: HashMap::new(),
+            extents: IntMap::default(),
             next_free: 0,
             capacity: capacity_pages,
         }

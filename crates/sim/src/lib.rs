@@ -9,8 +9,10 @@
 //! * [`DetRng`] — a seedable RNG with the distributions the workloads need.
 //! * [`CostModel`] — virtual-time cost constants, calibrated against the
 //!   measurements published in the HiPEC paper (OSDI '94, Tables 3 and 4).
-//! * [`stats`] — counters, online moments, histograms and series used by the
+//! * [`stats`] — online moments, histograms and series used by the
 //!   experiment harnesses.
+//! * [`hash`] — a seedless multiplicative hasher for the integer-keyed page
+//!   tables on the fault path.
 //! * [`hist`] — fixed-footprint log-linear latency histograms with the
 //!   merge/diff algebra the observability layer's snapshots need.
 //!
@@ -20,6 +22,7 @@
 pub mod clock;
 pub mod cost;
 pub mod event;
+pub mod hash;
 pub mod hist;
 pub mod rng;
 pub mod stats;
@@ -28,6 +31,7 @@ pub mod time;
 pub use clock::VirtualClock;
 pub use cost::CostModel;
 pub use event::EventQueue;
+pub use hash::{IntMap, IntSet};
 pub use hist::LatencyHistogram;
 pub use rng::{DetRng, ZipfTable};
 pub use time::{SimDuration, SimTime};

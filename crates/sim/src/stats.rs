@@ -2,47 +2,13 @@
 //!
 //! The benchmark binaries in `hipec-bench` print paper-style tables and
 //! series. This module provides the small set of aggregates they need:
-//! [`Counter`] sets, [`OnlineStats`] (streaming mean/min/max/variance),
-//! [`Histogram`] (power-of-two latency buckets) and [`Series`] (labelled
-//! (x, y) curves, one per line of a figure).
+//! [`OnlineStats`] (streaming mean/min/max/variance), [`Histogram`]
+//! (power-of-two latency buckets) and [`Series`] (labelled (x, y) curves,
+//! one per line of a figure).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::time::SimDuration;
-
-/// A named set of monotonically increasing event counters.
-#[derive(Debug, Clone, Default)]
-pub struct Counter {
-    counts: BTreeMap<&'static str, u64>,
-}
-
-impl Counter {
-    /// Creates an empty counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to counter `name` (creating it at zero first).
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.counts.entry(name).or_insert(0) += n;
-    }
-
-    /// Increments counter `name` by one.
-    pub fn bump(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Reads counter `name` (zero if never touched).
-    pub fn get(&self, name: &str) -> u64 {
-        self.counts.get(name).copied().unwrap_or(0)
-    }
-
-    /// Iterates over `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counts.iter().map(|(k, v)| (*k, *v))
-    }
-}
 
 /// Streaming mean / variance / extrema over `f64` samples (Welford).
 #[derive(Debug, Clone, Default)]
@@ -327,19 +293,6 @@ impl fmt::Display for TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_accumulate() {
-        let mut c = Counter::new();
-        c.bump("faults");
-        c.add("faults", 9);
-        c.add("flushes", 2);
-        assert_eq!(c.get("faults"), 10);
-        assert_eq!(c.get("flushes"), 2);
-        assert_eq!(c.get("missing"), 0);
-        let all: Vec<_> = c.iter().collect();
-        assert_eq!(all, vec![("faults", 10), ("flushes", 2)]);
-    }
 
     #[test]
     fn online_stats_moments() {

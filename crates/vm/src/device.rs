@@ -283,6 +283,33 @@ impl BackingDevice {
             + backlog
     }
 
+    /// True while a drain out of this entry has yet to be declared
+    /// complete: it is Draining, or Dead with a forced drain started and
+    /// not yet finished.
+    pub(crate) fn drain_unfinished(&self) -> bool {
+        match self.state {
+            DeviceState::Draining => true,
+            DeviceState::Dead => !self.drained && self.drain_to.is_some(),
+            DeviceState::Active | DeviceState::Removed => false,
+        }
+    }
+
+    /// True when a pump at `now` would change nothing on this entry: no
+    /// flush or migration copy is due (`done <= now`), the retry and
+    /// migration queues are empty (so neither the full-speed loops nor a
+    /// degraded probe can submit), no Dead escalation is pending, and no
+    /// drain is left to finish. [`crate::Kernel::pump`] returns at once
+    /// when every entry is idle; the check reads only what the full pump
+    /// would act on, so skipping is bit-identical to pumping.
+    pub(crate) fn pump_idle(&self, now: SimTime) -> bool {
+        !self.dead_pending
+            && self.retry_q.is_empty()
+            && self.migr_q.is_empty()
+            && !self.drain_unfinished()
+            && self.inflight.iter().all(|i| i.done > now)
+            && self.migr_inflight.iter().all(|m| m.done > now)
+    }
+
     /// Earliest virtual instant at which pumping *this* device makes
     /// write-back or migration progress: its next in-flight completion
     /// (flush or page copy), or — when nothing is in flight but torn
@@ -394,5 +421,220 @@ mod tests {
         });
         assert_eq!(d.next_progress(now), Some(done));
         assert_eq!(d.degraded_inflight(), 1);
+    }
+
+    /// The pump's idle skip: one test per condition [`BackingDevice::pump_idle`]
+    /// checks. Each builds a state where only that condition holds, checks
+    /// the predicate sees it, and checks the pump makes the progress the
+    /// condition calls for (counters and trace).
+    mod pump_skip {
+        use hipec_sim::SimTime;
+
+        use crate::kernel::{Kernel, KernelParams, RetryTag};
+        use crate::trace::VmEvent;
+        use crate::types::{DeviceId, FrameId, ObjectId, TaskId, VAddr, PAGE_SIZE};
+
+        fn small_kernel() -> Kernel {
+            let mut p = KernelParams::paper_64mb();
+            p.total_frames = 128;
+            p.wired_frames = 8;
+            p.free_target = 16;
+            p.free_min = 8;
+            p.inactive_target = 24;
+            Kernel::new(p)
+        }
+
+        /// Dirties the first page of a fresh anonymous region on `dev` and
+        /// returns its task, region, object and frame.
+        fn dirty_page(k: &mut Kernel, dev: DeviceId) -> (TaskId, VAddr, ObjectId, FrameId) {
+            let t = k.create_task();
+            let (addr, obj) = k.vm_allocate_on(dev, t, 4 * PAGE_SIZE).expect("allocate");
+            k.access(t, addr, true).expect("dirtying write");
+            let frame = k
+                .task(t)
+                .expect("task")
+                .translate(addr.vpage())
+                .expect("mapped");
+            (t, addr, obj, frame)
+        }
+
+        fn idle(k: &Kernel) -> bool {
+            let now = k.now();
+            k.devices.iter().all(|d| d.pump_idle(now))
+        }
+
+        /// Counters and trace length, to show an idle pump changes neither.
+        fn observable(k: &Kernel) -> (Vec<(&'static str, u64)>, u64) {
+            (k.stats.iter().collect(), k.trace.recorded())
+        }
+
+        /// Pumps, asserting the pump was a no-op exactly when the predicate
+        /// said the table was idle.
+        fn pump_checked(k: &mut Kernel) {
+            let was_idle = idle(k);
+            let before = observable(k);
+            k.pump();
+            if was_idle {
+                assert_eq!(observable(k), before, "an idle pump changed state");
+            }
+        }
+
+        /// With tracing compiled in, `want` was recorded at or after `seq`.
+        fn assert_traced(k: &Kernel, seq: u64, want: VmEvent) {
+            if cfg!(feature = "trace") {
+                assert!(
+                    k.trace.iter().any(|r| r.seq >= seq && r.event == want),
+                    "{want:?} not traced"
+                );
+            }
+        }
+
+        /// Moves device `di`'s only in-flight flush onto its retry queue,
+        /// exactly as the reap of a torn completion does.
+        fn park_as_torn_retry(k: &mut Kernel, di: usize) {
+            let i = k.devices[di].inflight.pop().expect("a flush in flight");
+            let lba = k.flush_target(di, i.frame).expect("owned frame");
+            k.devices[di].retry_q.push(
+                lba,
+                RetryTag {
+                    frame: i.frame,
+                    attempts: i.attempts,
+                    rehomed_from: None,
+                },
+            );
+        }
+
+        #[test]
+        fn a_completion_due_exactly_now_is_reaped() {
+            let mut k = small_kernel();
+            let (_, _, _, frame) = dirty_page(&mut k, DeviceId(0));
+            let done = k.start_flush(frame).expect("flush");
+            assert!(idle(&k), "nothing is due before the completion");
+            pump_checked(&mut k);
+            k.clock.advance_to(SimTime::from_ns(done.as_ns() - 1));
+            assert!(idle(&k), "one nanosecond early is still idle");
+            pump_checked(&mut k);
+            assert_eq!(k.stats.get("flush_completions"), 0);
+            k.clock.advance_to(done);
+            assert!(!idle(&k), "done == now is due");
+            let seq = k.trace.recorded();
+            pump_checked(&mut k);
+            assert_eq!(k.stats.get("flush_completions"), 1);
+            assert_traced(
+                &k,
+                seq,
+                VmEvent::FlushComplete {
+                    device: DeviceId(0),
+                    frame,
+                },
+            );
+            assert!(idle(&k));
+        }
+
+        #[test]
+        fn a_parked_retry_behind_a_closed_breaker_is_reissued() {
+            let mut k = small_kernel();
+            let (_, _, _, frame) = dirty_page(&mut k, DeviceId(0));
+            k.start_flush(frame).expect("flush");
+            park_as_torn_retry(&mut k, 0);
+            assert!(k.devices[0].breaker.is_closed());
+            assert!(!idle(&k), "a parked retry is work");
+            pump_checked(&mut k);
+            assert_eq!(k.stats.get("flush_retries"), 1);
+            assert_eq!(k.devices[0].retry_depth(), 0);
+            assert_eq!(k.devices[0].inflight_depth(), 1);
+        }
+
+        #[test]
+        fn a_parked_retry_behind_an_open_breaker_probes_when_due() {
+            let mut k = small_kernel();
+            let (_, _, _, frame) = dirty_page(&mut k, DeviceId(0));
+            k.start_flush(frame).expect("flush");
+            park_as_torn_retry(&mut k, 0);
+            let now = k.now();
+            while k.devices[0].breaker.is_closed() {
+                k.breaker_mut(DeviceId(0)).record(now, false);
+            }
+            // Before the probe window the pump only notes the deferral.
+            assert!(!idle(&k));
+            pump_checked(&mut k);
+            assert_eq!(k.devices[0].breaker.counters().deferred, 1);
+            assert_eq!(k.stats.get("flush_retries"), 0);
+            k.clock.advance_to(k.devices[0].breaker.next_probe_at());
+            assert!(!idle(&k));
+            let seq = k.trace.recorded();
+            pump_checked(&mut k);
+            assert_eq!(k.stats.get("flush_retries"), 1);
+            assert_eq!(k.devices[0].retry_depth(), 0);
+            assert_traced(
+                &k,
+                seq,
+                VmEvent::BreakerProbe {
+                    device: DeviceId(0),
+                    ok: true,
+                },
+            );
+        }
+
+        #[test]
+        fn a_queued_migration_copy_is_submitted() {
+            let mut k = small_kernel();
+            let dev = k.add_device(hipec_disk::DeviceParams::default());
+            let (_, _, obj, frame) = dirty_page(&mut k, DeviceId(0));
+            let done = k.start_flush(frame).expect("flush");
+            k.clock.advance_to(done);
+            pump_checked(&mut k);
+            assert!(idle(&k));
+            assert_eq!(k.migrate_object(obj, dev).expect("migrate"), 1);
+            assert!(!idle(&k), "a queued copy is work");
+            pump_checked(&mut k);
+            let di = dev.0 as usize;
+            assert_eq!(k.devices[di].migr_q.len(), 0);
+            assert_eq!(k.devices[di].migr_inflight.len(), 1);
+            let copied = k.devices[di].migr_inflight[0].done;
+            k.clock.advance_to(copied);
+            pump_checked(&mut k);
+            assert_eq!(k.stats.get("migrated_pages"), 1);
+            assert!(idle(&k));
+        }
+
+        #[test]
+        fn a_pending_dead_escalation_runs() {
+            let mut k = small_kernel();
+            let dev = k.add_device(hipec_disk::DeviceParams::default());
+            let (_, _, obj, _) = dirty_page(&mut k, dev);
+            assert!(idle(&k));
+            // What a breaker `Exhausted` transition on a page-out
+            // submission (outside the pump) leaves for the next pump.
+            k.devices[dev.0 as usize].dead_pending = true;
+            assert!(!idle(&k));
+            let seq = k.trace.recorded();
+            pump_checked(&mut k);
+            assert_eq!(k.stats.get("devices_dead"), 1);
+            assert_eq!(k.devices[dev.0 as usize].state(), super::DeviceState::Dead);
+            assert_eq!(k.device_of(obj).expect("object"), DeviceId(0));
+            assert_traced(&k, seq, VmEvent::DeviceDrained { device: dev });
+            assert_eq!(k.stats.get("devices_dead_drained"), 1);
+            assert!(idle(&k));
+        }
+
+        #[test]
+        fn a_draining_device_ready_to_finish_is_removed() {
+            let mut k = small_kernel();
+            let dev = k.add_device(hipec_disk::DeviceParams::default());
+            assert!(idle(&k));
+            // A drain that queued nothing, before its completion check (as
+            // `remove_device` leaves the entry mid-call).
+            let di = dev.0 as usize;
+            k.devices[di].state = super::DeviceState::Draining;
+            k.devices[di].drain_to = Some(DeviceId(0));
+            assert!(!idle(&k), "an unfinished drain is work");
+            let seq = k.trace.recorded();
+            pump_checked(&mut k);
+            assert_eq!(k.devices[di].state(), super::DeviceState::Removed);
+            assert_eq!(k.stats.get("devices_removed"), 1);
+            assert_traced(&k, seq, VmEvent::DeviceDrained { device: dev });
+            assert!(idle(&k));
+        }
     }
 }

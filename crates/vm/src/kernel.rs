@@ -9,10 +9,11 @@
 //! [`Kernel::take_free_frames`], …).
 
 use hipec_disk::{DeviceParams, DiskFault, FaultConfig, PagingDevice, PhasedFaultConfig};
-use hipec_sim::stats::{Counter, Histogram};
+use hipec_sim::stats::Histogram;
 use hipec_sim::{CostModel, SimDuration, SimTime, VirtualClock};
 
 use crate::breaker::{BreakerTransition, CircuitBreaker};
+use crate::counters::{VmCounter, VmStats};
 use crate::device::BackingDevice;
 use crate::frame::{FrameTable, QueueId};
 use crate::object::{Backing, VmObject};
@@ -208,7 +209,7 @@ pub struct Kernel {
     /// the fault handler (set by the HiPEC kernel wrapper).
     pub hipec_check_enabled: bool,
     /// Event counters.
-    pub stats: Counter,
+    pub stats: VmStats,
     /// Latency distribution of completed faults (trap to resolution,
     /// including any device wait).
     pub fault_latency: Histogram,
@@ -266,7 +267,7 @@ impl Kernel {
             active_q,
             inactive_q,
             hipec_check_enabled: false,
-            stats: Counter::new(),
+            stats: VmStats::default(),
             fault_latency: Histogram::new(),
             trace: EventRing::new(DEFAULT_TRACE_CAPACITY),
             flush_retry_budget: 8,
@@ -361,7 +362,7 @@ impl Kernel {
         let device = self.devices[di].id;
         match self.devices[di].breaker.record(now, ok) {
             BreakerTransition::Tripped => {
-                self.stats.bump("breaker_trips");
+                self.stats.bump(VmCounter::BreakerTrips);
                 let ewma_milli = self.devices[di].breaker.ewma_milli();
                 self.emit(VmEvent::BreakerTrip { device, ewma_milli });
             }
@@ -369,7 +370,7 @@ impl Kernel {
                 self.emit(VmEvent::BreakerProbe { device, ok });
             }
             BreakerTransition::Closed => {
-                self.stats.bump("breaker_closes");
+                self.stats.bump(VmCounter::BreakerCloses);
                 let ewma_milli = self.devices[di].breaker.ewma_milli();
                 self.emit(VmEvent::BreakerClose { device, ewma_milli });
             }
@@ -378,7 +379,7 @@ impl Kernel {
                 // permanent-failure escalation. The escalation itself (the
                 // Dead transition and forced drain) runs at the top of the
                 // next pump, outside the re-issue loops that call here.
-                self.stats.bump("breaker_exhausted");
+                self.stats.bump(VmCounter::BreakerExhausted);
                 self.devices[di].dead_pending = true;
                 self.emit(VmEvent::BreakerProbe { device, ok: false });
             }
@@ -559,7 +560,7 @@ impl Kernel {
         }
         self.object_mut(object)?.resident.clear();
         self.charge(self.cost.null_syscall);
-        self.stats.add("deallocated_frames", freed);
+        self.stats.add(VmCounter::DeallocatedFrames, freed);
         Ok(freed)
     }
 
@@ -621,7 +622,7 @@ impl Kernel {
         if let Some(frame) = self.task(task)?.translate(vpage) {
             self.frames.touch(frame, write)?;
             self.charge(self.cost.mem_touch);
-            self.stats.bump("hits");
+            self.stats.bump(VmCounter::Hits);
             return Ok(AccessOutcome::Done(AccessResult {
                 kind: AccessKind::Hit,
                 io_until: None,
@@ -629,7 +630,7 @@ impl Kernel {
         }
 
         // Fault.
-        self.stats.bump("faults");
+        self.stats.bump(VmCounter::Faults);
         let fault_start = self.now();
         self.charge(self.cost.fault_base);
         if self.hipec_check_enabled {
@@ -647,7 +648,7 @@ impl Kernel {
             self.pmap_enter(task, vpage, frame)?;
             self.charge(self.cost.pmap_enter);
             self.frames.touch(frame, write)?;
-            self.stats.bump("minor_faults");
+            self.stats.bump(VmCounter::MinorFaults);
             let latency = self.now().since(fault_start);
             self.fault_latency.record(latency);
             self.emit(VmEvent::Fault {
@@ -753,7 +754,7 @@ impl Kernel {
                 }
                 Err(fault) => {
                     self.breaker_record_read(di, false);
-                    self.stats.bump("read_errors");
+                    self.stats.bump(VmCounter::ReadErrors);
                     self.emit(VmEvent::ReadError {
                         device,
                         object,
@@ -762,11 +763,11 @@ impl Kernel {
                     return Err(VmError::Device(fault));
                 }
             };
-            self.stats.bump("pageins");
+            self.stats.bump(VmCounter::Pageins);
             (AccessKind::PageIn, Some(done))
         } else {
             self.charge(self.cost.zero_fill);
-            self.stats.bump("zero_fills");
+            self.stats.bump(VmCounter::ZeroFills);
             (AccessKind::ZeroFill, None)
         };
         {
@@ -955,8 +956,16 @@ impl Kernel {
     /// reap inside a single call. The score is a pure function of kernel
     /// state, so the weighted order — and everything downstream of it —
     /// is bit-identical across replays.
+    ///
+    /// Most calls find nothing to do (no completion due, nothing parked),
+    /// so the pump first asks every entry whether it is
+    /// [idle](BackingDevice::pump_idle) and returns before ordering the
+    /// table when all are.
     pub fn pump(&mut self) {
         let now = self.clock.now();
+        if self.devices.iter().all(|d| d.pump_idle(now)) {
+            return;
+        }
         let mut order: Vec<(u64, usize)> = self
             .devices
             .iter()
@@ -973,7 +982,7 @@ impl Kernel {
             self.pump_migration(di, &mut budget);
         }
         if budget.deferred > 0 {
-            self.stats.bump("pump_budget_deferrals");
+            self.stats.bump(VmCounter::PumpBudgetDeferrals);
             self.emit(VmEvent::PumpDeferred {
                 deferred: budget.deferred,
             });
@@ -999,7 +1008,7 @@ impl Kernel {
         });
         for (frame, torn, attempts, rehomed_from) in done {
             if torn {
-                self.stats.bump("torn_flushes");
+                self.stats.bump(VmCounter::TornFlushes);
                 // A torn completion re-homes to the owning object's current
                 // device: after a drain (or a tier migration) the object is
                 // re-bound elsewhere, its extent allocated there, so the
@@ -1020,7 +1029,7 @@ impl Kernel {
                     continue;
                 }
                 let (ri, rehomed_from) = if home != device {
-                    self.stats.bump("retries_rehomed");
+                    self.stats.bump(VmCounter::RetriesRehomed);
                     (home.0 as usize, Some(device))
                 } else {
                     (di, rehomed_from)
@@ -1052,7 +1061,7 @@ impl Kernel {
             self.frames
                 .enqueue_tail(self.free_q, frame)
                 .expect("flushed frame is unqueued");
-            self.stats.bump("flush_completions");
+            self.stats.bump(VmCounter::FlushCompletions);
             self.emit(VmEvent::FlushComplete { device, frame });
         }
         // Re-issue torn writes (one attempt per entry per pump; a rejected
@@ -1088,11 +1097,11 @@ impl Kernel {
                         attempts: attempts.saturating_add(1),
                         rehomed_from,
                     });
-                    self.stats.bump("flush_retries");
+                    self.stats.bump(VmCounter::FlushRetries);
                 }
                 Err(_) => {
                     self.breaker_record_write(di, false);
-                    self.stats.bump("flush_retry_errors");
+                    self.stats.bump(VmCounter::FlushRetryErrors);
                     self.emit(VmEvent::RetryRejected {
                         device,
                         frame,
@@ -1146,11 +1155,11 @@ impl Kernel {
                             attempts: attempts.saturating_add(1),
                             rehomed_from,
                         });
-                        self.stats.bump("flush_retries");
+                        self.stats.bump(VmCounter::FlushRetries);
                     }
                     Err(_) => {
                         self.breaker_record_write(di, false);
-                        self.stats.bump("flush_retry_errors");
+                        self.stats.bump(VmCounter::FlushRetryErrors);
                         self.emit(VmEvent::RetryRejected {
                             device,
                             frame,
@@ -1208,7 +1217,7 @@ impl Kernel {
         self.frames
             .enqueue_tail(self.free_q, frame)
             .expect("abandoned frame is unqueued");
-        self.stats.bump("flush_abandoned");
+        self.stats.bump(VmCounter::FlushAbandoned);
         self.dead_flushes.push(DeadFlush {
             device,
             frame,
@@ -1231,7 +1240,11 @@ impl Kernel {
 
     /// The backing-store block an in-flight flush on device `di` writes to
     /// (derived from the frame's retained owner).
-    fn flush_target(&self, di: usize, frame: FrameId) -> Result<hipec_disk::Lba, VmError> {
+    pub(crate) fn flush_target(
+        &self,
+        di: usize,
+        frame: FrameId,
+    ) -> Result<hipec_disk::Lba, VmError> {
         let (object, offset) = self
             .frames
             .frame(frame)?

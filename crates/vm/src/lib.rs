@@ -12,6 +12,7 @@
 //! hooks this crate exposes.
 
 pub mod breaker;
+pub mod counters;
 pub mod device;
 pub mod frame;
 pub mod kernel;
@@ -24,6 +25,7 @@ pub mod trace;
 pub mod types;
 
 pub use breaker::{BreakerCounters, BreakerParams, BreakerState, CircuitBreaker};
+pub use counters::{VmCounter, VmStats};
 pub use device::{BackingDevice, DeviceState, MigrTag};
 pub use frame::{Frame, FrameTable, QueueId};
 pub use kernel::{

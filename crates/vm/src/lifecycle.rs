@@ -19,6 +19,9 @@
 
 use std::collections::HashSet;
 
+use hipec_sim::IntSet;
+
+use crate::counters::VmCounter;
 use crate::device::{DeviceState, InflightMigration, MigrTag};
 use crate::kernel::{Kernel, PumpBudget, RetryTag};
 use crate::object::Backing;
@@ -54,7 +57,7 @@ impl Kernel {
             self.devices[di].drain_to = None;
             return Err(e);
         }
-        self.stats.bump("devices_unplugged");
+        self.stats.bump(VmCounter::DevicesUnplugged);
         self.charge(self.cost.null_syscall);
         // An idle device with nothing to copy completes immediately.
         self.finish_drains();
@@ -104,7 +107,7 @@ impl Kernel {
         let om = self.object_mut(object)?;
         om.device = to;
         om.migrations += 1;
-        self.stats.bump("object_migrations");
+        self.stats.bump(VmCounter::ObjectMigrations);
         self.emit(VmEvent::ObjectMigrated {
             object,
             from,
@@ -160,8 +163,8 @@ impl Kernel {
         for o in &mut self.objects {
             o.fault_rate = 0;
         }
-        self.stats.add("tier_promotions", promotions);
-        self.stats.add("tier_demotions", demotions);
+        self.stats.add(VmCounter::TierPromotions, promotions);
+        self.stats.add(VmCounter::TierDemotions, demotions);
         (promotions, demotions)
     }
 
@@ -232,7 +235,7 @@ impl Kernel {
             cancelled += 1;
         }
         if cancelled > 0 {
-            self.stats.add("migrations_cancelled", cancelled);
+            self.stats.add(VmCounter::MigrationsCancelled, cancelled);
         }
         let objects = plan.len() as u64;
         let pages: u64 = plan.iter().map(|(_, _, v, _)| v.len() as u64).sum();
@@ -242,7 +245,7 @@ impl Kernel {
             objects,
             pages,
         });
-        self.stats.bump("device_drains");
+        self.stats.bump(VmCounter::DeviceDrains);
         // Re-bind and queue the copies.
         for (oid, _, offs, _) in plan {
             for off in &offs {
@@ -261,10 +264,10 @@ impl Kernel {
             let om = self.object_mut(oid)?;
             om.device = target;
             om.migrations += 1;
-            self.stats.bump("object_migrations");
+            self.stats.bump(VmCounter::ObjectMigrations);
             if forced {
-                self.stats.bump("forced_migrations");
-                self.stats.add("forced_migration_pages", n);
+                self.stats.bump(VmCounter::ForcedMigrations);
+                self.stats.add(VmCounter::ForcedMigrationPages, n);
             }
             self.emit(VmEvent::ObjectMigrated {
                 object: oid,
@@ -298,7 +301,7 @@ impl Kernel {
                     rehomed_from: Some(dev),
                 },
             );
-            self.stats.bump("retries_rehomed");
+            self.stats.bump(VmCounter::RetriesRehomed);
         }
         Ok(())
     }
@@ -320,7 +323,7 @@ impl Kernel {
             let device = self.devices[di].id;
             let ewma_milli = self.devices[di].breaker.ewma_milli();
             self.devices[di].state = DeviceState::Dead;
-            self.stats.bump("devices_dead");
+            self.stats.bump(VmCounter::DevicesDead);
             self.emit(VmEvent::DeviceDead { device, ewma_milli });
             if was == DeviceState::Draining {
                 // The unplug drain is already running; it continues
@@ -332,13 +335,13 @@ impl Kernel {
                     if self.drain_device(di, target, true).is_err() {
                         // The survivor has no room for the extents; the
                         // entry stays Dead with nothing re-bound.
-                        self.stats.bump("drain_failed");
+                        self.stats.bump(VmCounter::DrainFailed);
                     }
                 }
                 Err(_) => {
                     // The last Active device died: its objects have
                     // nowhere to go and keep faulting against it.
-                    self.stats.bump("dead_without_survivor");
+                    self.stats.bump(VmCounter::DeadWithoutSurvivor);
                 }
             }
         }
@@ -363,12 +366,12 @@ impl Kernel {
         });
         for m in done {
             if m.torn {
-                self.stats.bump("migration_retries");
+                self.stats.bump(VmCounter::MigrationRetries);
                 self.devices[di].migr_q.push(m.lba, m.tag);
                 continue;
             }
             self.devices[di].migr_done += 1;
-            self.stats.bump("migrated_pages");
+            self.stats.bump(VmCounter::MigratedPages);
         }
         let mut still = Vec::new();
         while self.devices[di].breaker.is_closed() {
@@ -395,7 +398,7 @@ impl Kernel {
                 }
                 Err(_) => {
                     self.breaker_record_write(di, false);
-                    self.stats.bump("migration_rejects");
+                    self.stats.bump(VmCounter::MigrationRejects);
                     still.push((pending.lba, bump_attempts(pending.tag)));
                 }
             }
@@ -426,7 +429,7 @@ impl Kernel {
                     }
                     Err(_) => {
                         self.breaker_record_write(di, false);
-                        self.stats.bump("migration_rejects");
+                        self.stats.bump(VmCounter::MigrationRejects);
                         // A failed probe pushed the next window out; keep
                         // FCFS order and wait for it.
                         self.devices[di]
@@ -446,14 +449,7 @@ impl Kernel {
     /// re-homed flush anywhere still traces back to it.
     pub(crate) fn finish_drains(&mut self) {
         for di in 0..self.devices.len() {
-            let draining = match self.devices[di].state {
-                DeviceState::Draining => true,
-                DeviceState::Dead => {
-                    !self.devices[di].drained && self.devices[di].drain_to.is_some()
-                }
-                _ => false,
-            };
-            if !draining {
+            if !self.devices[di].drain_unfinished() {
                 continue;
             }
             let dev = self.devices[di].id;
@@ -476,9 +472,9 @@ impl Kernel {
             self.devices[di].drained = true;
             if self.devices[di].state == DeviceState::Draining {
                 self.devices[di].state = DeviceState::Removed;
-                self.stats.bump("devices_removed");
+                self.stats.bump(VmCounter::DevicesRemoved);
             } else {
-                self.stats.bump("devices_dead_drained");
+                self.stats.bump(VmCounter::DevicesDeadDrained);
             }
             self.emit(VmEvent::DeviceDrained { device: dev });
         }
@@ -488,11 +484,7 @@ impl Kernel {
 /// The offsets a device newly backing an object must be able to serve:
 /// every page of a file object, the paged-out set of an anonymous one
 /// (sorted — the set iterates in hash order).
-fn copy_offsets(
-    backing: Backing,
-    size_pages: u64,
-    paged_out: &std::collections::HashSet<u64>,
-) -> Vec<u64> {
+fn copy_offsets(backing: Backing, size_pages: u64, paged_out: &IntSet<u64>) -> Vec<u64> {
     match backing {
         Backing::File => (0..size_pages).collect(),
         Backing::Anonymous => {

@@ -6,7 +6,7 @@
 //! *container* to an object (paper §4.1); the container itself lives in
 //! `hipec-core`, the object only records the attachment key.
 
-use std::collections::HashMap;
+use hipec_sim::{IntMap, IntSet};
 
 use crate::types::{DeviceId, FrameId, ObjectId, PageOffset};
 
@@ -31,10 +31,10 @@ pub struct VmObject {
     /// True once a swap extent has been allocated (anonymous objects only).
     pub swap_allocated: bool,
     /// Resident pages: object page offset → physical frame.
-    pub resident: HashMap<u64, FrameId>,
+    pub resident: IntMap<u64, FrameId>,
     /// Pages that have been written to backing store at least once
     /// (anonymous objects: a zero-fill is only correct before first pageout).
-    pub paged_out: std::collections::HashSet<u64>,
+    pub paged_out: IntSet<u64>,
     /// HiPEC container attachment key, if this object is under specific
     /// application control.
     pub container: Option<u32>,
@@ -61,8 +61,8 @@ impl VmObject {
             size_pages,
             backing,
             swap_allocated: false,
-            resident: HashMap::new(),
-            paged_out: std::collections::HashSet::new(),
+            resident: IntMap::default(),
+            paged_out: IntSet::default(),
             container: None,
             device: DeviceId(0),
             fault_rate: 0,

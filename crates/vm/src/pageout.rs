@@ -8,6 +8,7 @@
 
 use hipec_sim::SimTime;
 
+use crate::counters::VmCounter;
 use crate::kernel::{InflightFlush, Kernel};
 use crate::trace::VmEvent;
 use crate::types::{FrameId, VmError};
@@ -16,7 +17,7 @@ impl Kernel {
     /// Runs the pageout daemon until the free queue reaches `free_target`
     /// or no further progress is possible (everything left is in flight).
     pub(crate) fn pageout_scan(&mut self) -> Result<(), VmError> {
-        self.stats.bump("scans");
+        self.stats.bump(VmCounter::Scans);
         let mut total_freed = 0;
         let mut total_flushed = 0;
         loop {
@@ -68,7 +69,7 @@ impl Kernel {
             freed += 1;
         }
         if freed > 0 {
-            self.stats.add("forced_sync_reclaims", freed);
+            self.stats.add(VmCounter::ForcedSyncReclaims, freed);
         }
         Ok(freed)
     }
@@ -110,7 +111,7 @@ impl Kernel {
                 self.frames.frame_mut(f)?.ref_bit = false;
                 self.frames.enqueue_tail(self.active_q, f)?;
                 self.charge(self.cost.queue_op + self.cost.bit_op);
-                self.stats.bump("reactivations");
+                self.stats.bump(VmCounter::Reactivations);
                 continue;
             }
             if frame.mod_bit {
@@ -160,7 +161,7 @@ impl Kernel {
                 .probe_due(self.clock.now(), self.devices[di].degraded_inflight())
         {
             self.devices[di].breaker.note_deferred();
-            self.stats.bump("flush_deferred");
+            self.stats.bump(VmCounter::FlushDeferred);
             return Err(VmError::Device(hipec_disk::DiskFault::WriteError(
                 hipec_disk::Lba(0),
             )));
@@ -181,7 +182,7 @@ impl Kernel {
             Ok(c) => c,
             Err(fault) => {
                 self.breaker_record_write(di, false);
-                self.stats.bump("flush_errors");
+                self.stats.bump(VmCounter::FlushErrors);
                 return Err(VmError::Device(fault));
             }
         };
@@ -218,7 +219,7 @@ impl Kernel {
             attempts: 1,
             rehomed_from: None,
         });
-        self.stats.bump("pageouts");
+        self.stats.bump(VmCounter::Pageouts);
         self.emit(VmEvent::FlushStart {
             device,
             frame,

@@ -5,7 +5,7 @@
 //! frame (see [`crate::frame::FrameTable::touch`]), as Mach keeps them on
 //! `vm_page` via pmap emulation.
 
-use std::collections::HashMap;
+use hipec_sim::IntMap;
 
 use crate::map::VmMap;
 use crate::types::{FrameId, TaskId};
@@ -18,7 +18,7 @@ pub struct Task {
     /// The task's address map.
     pub map: VmMap,
     /// Installed translations: virtual page → frame.
-    pub pmap: HashMap<u64, FrameId>,
+    pub pmap: IntMap<u64, FrameId>,
 }
 
 impl Task {
@@ -27,7 +27,7 @@ impl Task {
         Task {
             id,
             map: VmMap::new(),
-            pmap: HashMap::new(),
+            pmap: IntMap::default(),
         }
     }
 

@@ -224,4 +224,26 @@ print(f"   v7 tenants OK: free p99 {rows['free']['p99_fault_ns']} ns"
       f" > healthy worst {healthy_worst} ns (bound {bound} ns)")
 PY
 
+echo "== perfbench: benchmark tests, stored fingerprints and shape guards =="
+# Each perfbench run checks that every episode of a seed repeats its
+# virtual-time results bit for bit, that they match the fingerprints stored
+# for --seed 1, and the workload's shape guards; any miss makes the result
+# line say "correct": false. Host speed is not gated: no wall-clock
+# threshold holds on a shared machine.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+for w in join kv_zipf tenants_storm; do
+  if ! out="$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0)"; then
+    printf '%s\n' "$out" | tail -n 5 >&2
+    echo "error: perfbench $w run failed" >&2
+    exit 1
+  fi
+  python3 - "$w" "$(printf '%s\n' "$out" | tail -n 1)" <<'PY'
+import json, sys
+workload, line = sys.argv[1], sys.argv[2]
+doc = json.loads(line)
+assert doc["correct"] is True, f"perfbench {workload}: {line}"
+print(f"   perfbench {workload} OK: {doc['attempted']} accesses, fingerprints match")
+PY
+done
+
 echo "verify: OK"

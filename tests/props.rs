@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use hipec_core::{HipecKernel, PolicyProgram};
+use hipec_core::{HipecKernel, PolicyProgram, OPERAND_SLOTS};
 use hipec_policies::native::{CacheSim, Fifo, Lru, Mru};
 use hipec_policies::PolicyKind;
 use hipec_vm::{FrameId, FrameTable, KernelParams, VAddr, PAGE_SIZE};
@@ -100,6 +100,25 @@ proptest! {
     #[test]
     fn wire_decoder_is_total(words in prop::collection::vec(any::<u32>(), 0..64)) {
         let _ = PolicyProgram::from_words(&words);
+    }
+
+    /// One mutated word anywhere in a shipped policy's wire image decodes
+    /// to a typed error or to a program no larger than its input: no count
+    /// in the buffer reaches an allocation unchecked.
+    #[test]
+    fn wire_decoder_survives_single_word_mutations(
+        idx in 0usize..PolicyKind::ALL.len(),
+        at in any::<usize>(),
+        word in any::<u32>(),
+    ) {
+        let mut words = PolicyKind::ALL[idx].program().to_words();
+        let at = at % words.len();
+        words[at] = word;
+        if let Ok(p) = PolicyProgram::from_words(&words) {
+            prop_assert!(p.decls.len() <= OPERAND_SLOTS as usize);
+            let consumed = 4 + 3 * p.decls.len() + p.events.len() + p.total_commands();
+            prop_assert!(consumed <= words.len());
+        }
     }
 
     /// Wire encoding round-trips every program the translator can produce
