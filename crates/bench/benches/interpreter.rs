@@ -2,13 +2,11 @@
 //! does this implementation fetch, decode and dispatch HiPEC commands?
 //!
 //! The paper's ≈150 ns figure is for a 1994 i486-50; this measures the
-//! Rust executor on the machine running the benchmark, under both the
-//! reference interpreter and the native (JIT) step-chain backend, so the
-//! dispatch saving of pre-lowered policies is directly visible.
+//! Rust interpreter on the machine running the benchmark.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hipec_core::command::{build, ArithOp, CompOp, JumpMode, QueueEnd};
-use hipec_core::{ExecBackend, HipecKernel, KernelVar, OperandDecl, PolicyProgram, NO_OPERAND};
+use hipec_core::{HipecKernel, KernelVar, OperandDecl, PolicyProgram, NO_OPERAND};
 use hipec_vm::{KernelParams, PAGE_SIZE};
 
 /// The 3-command simple fault path: Comp, DeQueue, Return.
@@ -52,12 +50,11 @@ fn arith_loop() -> PolicyProgram {
     p
 }
 
-fn setup(program: PolicyProgram, backend: ExecBackend) -> (HipecKernel, hipec_core::ContainerKey) {
+fn setup(program: PolicyProgram) -> (HipecKernel, hipec_core::ContainerKey) {
     let mut params = KernelParams::paper_64mb();
     params.total_frames = 512;
     params.wired_frames = 16;
     let mut k = HipecKernel::new(params);
-    k.set_backend(backend);
     let task = k.vm.create_task();
     let (_a, _o, key) = k
         .vm_allocate_hipec(task, 64 * PAGE_SIZE, program, 64)
@@ -69,30 +66,28 @@ fn bench_interpreter(c: &mut Criterion) {
     let mut group = c.benchmark_group("interpreter");
     group.sample_size(30);
 
-    for backend in [ExecBackend::Interpreter, ExecBackend::Native] {
-        // Simple fault path (3 commands + one queue op); the page is
-        // handed back each round so the free queue never drains.
-        let (mut k, key) = setup(fast_path(), backend);
-        group.throughput(Throughput::Elements(3));
-        group.bench_function(format!("fast_path_3_commands/{}", backend.name()), |b| {
-            b.iter(|| {
-                let v = k.run_event_raw(key, 0).expect("fast path");
-                if let hipec_core::ExecValue::Page(f) = v {
-                    let free_q = k.containers[key.0 as usize].free_q;
-                    k.vm.frames.enqueue_tail(free_q, f).expect("give back");
-                }
-                v
-            })
-        });
+    // Simple fault path (3 commands + one queue op); the page is
+    // handed back each round so the free queue never drains.
+    let (mut k, key) = setup(fast_path());
+    group.throughput(Throughput::Elements(3));
+    group.bench_function("fast_path_3_commands", |b| {
+        b.iter(|| {
+            let v = k.run_event_raw(key, 0).expect("fast path");
+            if let hipec_core::ExecValue::Page(f) = v {
+                let free_q = k.containers[key.0 as usize].free_q;
+                k.vm.frames.enqueue_tail(free_q, f).expect("give back");
+            }
+            v
+        })
+    });
 
-        // Arithmetic loop: ≈ 258 commands per invocation, no kernel
-        // objects — pure fetch/decode/dispatch cost.
-        let (mut k, key) = setup(arith_loop(), backend);
-        group.throughput(Throughput::Elements(64 * 4 + 2));
-        group.bench_function(format!("arith_loop_64/{}", backend.name()), |b| {
-            b.iter(|| k.run_event_raw(key, 0).expect("loop runs"))
-        });
-    }
+    // Arithmetic loop: ≈ 258 commands per invocation, no kernel
+    // objects — pure fetch/decode/dispatch cost.
+    let (mut k, key) = setup(arith_loop());
+    group.throughput(Throughput::Elements(64 * 4 + 2));
+    group.bench_function("arith_loop_64", |b| {
+        b.iter(|| k.run_event_raw(key, 0).expect("loop runs"))
+    });
 
     group.finish();
 }

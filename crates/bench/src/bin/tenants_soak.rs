@@ -14,7 +14,7 @@
 //!    the same pump (the head-of-line regression this tree fixes).
 //!
 //! The per-class rows come from the kernel's own `class_fault`
-//! histograms and are emitted in the `--json` document (schema v7) as a
+//! histograms and are emitted in the `--json` document (schema v7 and later) as a
 //! `classes` array. The whole run is a pure function of the seed;
 //! `scripts/verify.sh` runs the binary twice and `cmp`s the JSON.
 //!

@@ -1,9 +1,9 @@
-//! Policy tournament: every shipped policy × every workload shape × both
-//! executor backends × clean/chaos fault plans.
+//! Policy tournament: every shipped policy × every workload shape ×
+//! clean/chaos fault plans.
 //!
 //! Human mode prints one ranked table per workload (clean-plan faults and
 //! hit rates) plus the overall Borda ranking; `--json` emits the full cell
-//! matrix (schema v5, see [`hipec_bench::JSON_SCHEMA_VERSION`]). Every
+//! matrix (see [`hipec_bench::JSON_SCHEMA_VERSION`]). Every
 //! number derives from the seed, so two runs with the same flags produce
 //! bit-identical output — `scripts/verify.sh` gates on that.
 //!
@@ -27,7 +27,6 @@ fn cell_json(c: &Cell) -> Value {
     serde_json::json!({
         "policy": c.policy,
         "workload": c.workload,
-        "backend": c.backend,
         "plan": c.plan,
         "accesses": c.accesses,
         "ok": c.ok,
@@ -54,7 +53,7 @@ fn report(t: &Tournament) {
         t.seed, t.ops
     );
     for &wl in &t.workloads {
-        println!("\n-- {wl} (clean plan, interpreter) --");
+        println!("\n-- {wl} (clean plan) --");
         println!(
             "{:>10} {:>8} {:>8} {:>6} {:>12} {:>12} {:>12} {:>12}",
             "policy", "faults", "hits", "hit‰", "p50_fault", "p99_fault", "p99_event", "p99_flush"
@@ -62,7 +61,7 @@ fn report(t: &Tournament) {
         let mut rows: Vec<&Cell> = t
             .cells
             .iter()
-            .filter(|c| c.workload == wl && c.plan == "clean" && c.backend == "interpreter")
+            .filter(|c| c.workload == wl && c.plan == "clean")
             .collect();
         rows.sort_by_key(|c| (c.faults, c.policy));
         for c in rows {
@@ -79,7 +78,7 @@ fn report(t: &Tournament) {
             );
         }
     }
-    println!("\n-- chaos resilience (interpreter) --");
+    println!("\n-- chaos resilience --");
     println!(
         "{:>10} {:>10} {:>10} {:>12} {:>12}",
         "policy", "ok_refs", "dev_faults", "quarantines", "flushes"
@@ -89,7 +88,7 @@ fn report(t: &Tournament) {
         for c in t
             .cells
             .iter()
-            .filter(|c| c.policy == kind.name() && c.plan == "chaos" && c.backend == "interpreter")
+            .filter(|c| c.policy == kind.name() && c.plan == "chaos")
         {
             ok += c.ok;
             dev += c.device_faults;

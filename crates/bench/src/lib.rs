@@ -80,7 +80,13 @@ pub use hipec_sim::stats::{Series, TextTable};
 /// one row per class (`class`, `tenants`, `installed`, `faults`,
 /// `p50_fault_ns`, `p99_fault_ns`) plus the admission counters
 /// `admission_throttled` and `admission_over_share`.
-pub const JSON_SCHEMA_VERSION: u64 = 7;
+///
+/// v8: the executor is no longer a choice, so `backend` is gone from both
+/// places it appeared: the envelope's top-level field (v3) and each
+/// `tournament` cell (v4). The tournament matrix is policy × workload ×
+/// plan, half the cells of v7; every remaining cell is byte-identical to
+/// its v7 `"interpreter"` row.
+pub const JSON_SCHEMA_VERSION: u64 = 8;
 
 /// True when the binary was invoked with `--json`: machine-readable mode.
 ///
@@ -205,7 +211,6 @@ pub fn finish(name: &str, data: &Value) {
         let doc = serde_json::json!({
             "bench": name,
             "schema": JSON_SCHEMA_VERSION,
-            "backend": hipec_core::ExecBackend::default().name(),
             "data": data.clone(),
         });
         println!("{}", serde_json::to_string_pretty(&doc).unwrap_or_default());

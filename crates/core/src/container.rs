@@ -158,10 +158,6 @@ pub struct Container {
     /// tranches on clean checker intervals instead of one post-restore
     /// burst (see `HealthPolicy::restore_tranche`).
     pub restore_pending: u64,
-    /// The program lowered to native step chains at install time (see
-    /// [`crate::jit`]); shared so event dispatch never clones the chains.
-    #[cfg(feature = "jit")]
-    pub compiled: Option<std::sync::Arc<crate::jit::CompiledPolicy>>,
 }
 
 impl Container {
@@ -194,11 +190,6 @@ impl Container {
                 OperandDecl::Kernel(v) => OperandSlot::Kernel(v),
             })
             .collect();
-        // Lower the program to native step chains while it is installed —
-        // the one-time cost the JIT design trades for match-free dispatch
-        // on every subsequent event.
-        #[cfg(feature = "jit")]
-        let compiled = Some(crate::jit::compile_policy(&program));
         Container {
             key,
             object,
@@ -222,8 +213,6 @@ impl Container {
             pending_faults: Vec::new(),
             health: crate::health::ContainerHealth::default(),
             restore_pending: 0,
-            #[cfg(feature = "jit")]
-            compiled,
         }
     }
 

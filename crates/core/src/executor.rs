@@ -50,41 +50,19 @@ pub enum ExecValue {
     Bool(bool),
 }
 
-/// Which execution backend [`HipecKernel::run_event`] dispatches to.
-///
-/// Both backends observe the same accounting contract — per installed
-/// command, `cmd_fetch_decode` plus the operation's native charges — so
-/// traces, [`crate::KernelStats`] and fuel behavior are bit-identical
-/// either way. The interpreter is the reference implementation; the native
-/// backend ([`crate::jit`]) exists purely to cut host-CPU dispatch cost.
+/// The executor [`HipecKernel::run_event`] runs policies on. There is one:
+/// the interpreter below (see [`HipecKernel::backend`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecBackend {
     /// Fetch, decode and dispatch each 32-bit command on every execution.
     Interpreter,
-    /// Pre-lowered fn-pointer step chains, installed at `vm_*_hipec` time
-    /// (see [`crate::jit`]). Containers without a compiled form fall back
-    /// to the interpreter.
-    Native,
 }
 
 impl ExecBackend {
-    /// Stable machine-readable name (bench `--json` output).
+    /// Stable machine-readable name.
     pub fn name(self) -> &'static str {
         match self {
             ExecBackend::Interpreter => "interpreter",
-            ExecBackend::Native => "native",
-        }
-    }
-}
-
-impl Default for ExecBackend {
-    /// Native when the `jit` feature (default-on) is compiled in, so
-    /// regular kernels get compiled dispatch; interpreter otherwise.
-    fn default() -> Self {
-        if cfg!(feature = "jit") {
-            ExecBackend::Native
-        } else {
-            ExecBackend::Interpreter
         }
     }
 }
@@ -104,7 +82,7 @@ impl HipecKernel {
         let before = self.containers[cidx].stats.commands;
         #[cfg(feature = "metrics")]
         let entered = self.vm.now();
-        let result = self.run_event_inner(cidx, event, depth, fuel);
+        let result = self.interpret(cidx, event, depth, fuel);
         let delta = self.containers[cidx].stats.commands - before;
         // Top-level events get one duration sample each; a nested
         // `Activate` is part of its parent's span, not a sample of its own.
@@ -122,38 +100,9 @@ impl HipecKernel {
         result
     }
 
-    /// Backend dispatch: containers with a compiled form run natively when
-    /// the kernel's backend is [`ExecBackend::Native`]; everything else
-    /// takes the reference interpreter. Shared by top-level invocations and
-    /// nested `Activate`s, so mixed programs stay consistent.
-    fn run_event_inner(
-        &mut self,
-        cidx: usize,
-        event: u8,
-        depth: u8,
-        fuel: &mut u32,
-    ) -> Result<ExecValue, PolicyFault> {
-        #[cfg(feature = "jit")]
-        if self.backend == ExecBackend::Native {
-            // Take-and-restore instead of `Arc::clone`: moving the pointer
-            // out avoids two atomic refcount updates per event. While the
-            // event runs the container shows no compiled form, so a nested
-            // `Activate` of the same container takes the interpreter —
-            // bit-identical by contract (enforced by tests/jit.rs).
-            if let Some(compiled) = self.containers[cidx].compiled.take() {
-                let result = self.run_event_native(cidx, event, depth, fuel, &compiled);
-                self.containers[cidx].compiled = Some(compiled);
-                return result;
-            }
-        }
-        self.run_event_interp(cidx, event, depth, fuel)
-    }
-
-    /// The reference interpreter (paper §4.3.2): fetch, decode and execute
-    /// one 32-bit command at a time. The native backend in [`crate::jit`]
-    /// must stay bit-compatible with this loop's charges, faults, profile
-    /// attribution and condition-flag behavior.
-    fn run_event_interp(
+    /// The interpreter (paper §4.3.2): fetch, decode and execute one 32-bit
+    /// command at a time.
+    fn interpret(
         &mut self,
         cidx: usize,
         event: u8,

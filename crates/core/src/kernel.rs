@@ -55,9 +55,6 @@ pub struct HipecKernel {
     pub(crate) ramp_cursor: usize,
     /// Executor fuel and nesting limits.
     pub limits: ExecLimits,
-    /// Which executor backend `run_event` dispatches to (see
-    /// [`ExecBackend`]); both observe the same accounting contract.
-    pub(crate) backend: ExecBackend,
     /// Kernel-scope latency histograms (sampled opcode charges, checker
     /// interval, pump cadence); see [`crate::obs`].
     pub obs: crate::obs::ObsState,
@@ -98,7 +95,6 @@ impl HipecKernel {
             health_policy: HealthPolicy::default(),
             ramp_cursor: 0,
             limits: ExecLimits::default(),
-            backend: ExecBackend::default(),
             obs: crate::obs::ObsState::default(),
             trace: EventRing::new(DEFAULT_TRACE_CAPACITY),
             next_seq: 0,
@@ -831,17 +827,11 @@ impl HipecKernel {
         result
     }
 
-    /// The executor backend events currently dispatch to.
+    /// The executor events dispatch to: always the interpreter. Kept so
+    /// `perfbench` can keep recording the executor name in its `meta`
+    /// line; nothing else needs it.
     pub fn backend(&self) -> ExecBackend {
-        self.backend
-    }
-
-    /// Selects the executor backend. Takes effect on the next event; both
-    /// backends are bit-identical in virtual time, traces and faults, so
-    /// switching mid-run never changes simulation results — only how much
-    /// host CPU the dispatch burns.
-    pub fn set_backend(&mut self, backend: ExecBackend) {
-        self.backend = backend;
+        ExecBackend::Interpreter
     }
 
     /// Charges the cost of one null syscall (used by comparison harnesses).

@@ -66,8 +66,6 @@ pub mod executor;
 pub mod health;
 pub mod hist;
 pub mod invariants;
-#[cfg(feature = "jit")]
-pub mod jit;
 pub mod kernel;
 pub mod manager;
 pub mod metrics;

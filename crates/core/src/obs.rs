@@ -18,12 +18,11 @@
 //!
 //! **Sampling rule.** Opcode charges are recorded every
 //! [`OP_SAMPLE_EVERY`]-th *attributed* command, counted by a global
-//! sequence number that advances identically under both executor backends
-//! (both attribute the same commands in the same order — the contract
-//! `tests/jit.rs` pins). Everything else is recorded unsampled. All
-//! recording sites sit behind the `metrics` feature; storage is
-//! unconditional so snapshot shapes and kernel behavior never depend on
-//! the feature.
+//! sequence number that advances once per command the executor
+//! attributes, so the sample set is a pure function of the command
+//! stream. Everything else is recorded unsampled. All recording sites
+//! sit behind the `metrics` feature; storage is unconditional so snapshot
+//! shapes and kernel behavior never depend on the feature.
 
 use std::fmt;
 
@@ -193,8 +192,8 @@ pub struct ObsState {
     /// Sampled executor charge per opcode.
     pub op_charge: [LatencyHistogram; OpCode::ALL.len()],
     /// Attributed-command sequence number driving the 1-in-
-    /// [`OP_SAMPLE_EVERY`] sampling decision. Identical across executor
-    /// backends because attribution order is part of their contract.
+    /// [`OP_SAMPLE_EVERY`] sampling decision. Advances in attribution
+    /// order, so reruns sample the same commands.
     pub op_seq: u64,
     /// Fault service latency per tenant share class, indexed by
     /// [`crate::ShareClass::ALL`] position. The per-class aggregate the
@@ -227,8 +226,8 @@ impl Default for ObsState {
 impl HipecKernel {
     /// Attributes `spent` virtual time to a completed command: the exact
     /// per-container profile always, plus the sampled kernel-scope opcode
-    /// histogram. Every attribution site in both executor backends funnels
-    /// through here so the sampling sequence cannot diverge between them.
+    /// histogram. Every attribution site in the executor funnels through
+    /// here, so the sampling sequence follows attribution order exactly.
     #[inline]
     pub(crate) fn profile_op(&mut self, cidx: usize, op: OpCode, spent: SimDuration) {
         self.containers[cidx].op_profile.attribute(op, spent);

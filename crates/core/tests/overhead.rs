@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! cargo test --release -p hipec-core --test overhead -- --ignored --nocapture
-//! cargo test --release -p hipec-core --no-default-features --features trace,jit \
+//! cargo test --release -p hipec-core --no-default-features --features trace \
 //!   --test overhead -- --ignored --nocapture
 //! ```
 //!

@@ -591,12 +591,37 @@ impl Codegen {
                 self.free_temp(slot);
                 Ok(())
             }
-            Builtin::Replace(kind, q) => {
-                let qs = self.lookup_kind(q, SymKind::Queue, span)?;
-                self.code.push(replace_cmd(*kind, qs.slot, NO_OPERAND));
-                Ok(())
-            }
+            Builtin::Replace(kind, q) => self.replace(*kind, q, NO_OPERAND, span),
         }
+    }
+
+    /// Emits `fifo`/`lru`/`mru` over queue `q`, landing the freed page in
+    /// `dst`. LRU and MRU read the kernel-maintained recency order, so `q`
+    /// must be declared `recency queue` (the validator rejects the command
+    /// otherwise; reporting it here gives the user a source position).
+    fn replace(&mut self, kind: ReplaceKind, q: &str, dst: u8, span: Span) -> CgResult<()> {
+        let qs = self.lookup_kind(q, SymKind::Queue, span)?;
+        let recency = self.decls[qs.slot as usize] == OperandDecl::Queue { recency: true };
+        let cmd = match kind {
+            ReplaceKind::Fifo => build::fifo(qs.slot, dst),
+            ReplaceKind::Lru if recency => build::lru(qs.slot, dst),
+            ReplaceKind::Mru if recency => build::mru(qs.slot, dst),
+            ReplaceKind::Lru | ReplaceKind::Mru => {
+                let name = if kind == ReplaceKind::Lru {
+                    "lru"
+                } else {
+                    "mru"
+                };
+                return Err(Diagnostic::new(
+                    span,
+                    format!(
+                        "`{name}` needs a recency-ordered queue: declare `{q}` as `recency queue`"
+                    ),
+                ));
+            }
+        };
+        self.code.push(cmd);
+        Ok(())
     }
 
     // --- Page expressions -------------------------------------------------------
@@ -624,11 +649,7 @@ impl Codegen {
                 self.code.push(build::dequeue(dst, qs.slot, QueueEnd::Tail));
                 Ok(())
             }
-            PageExpr::Replace(kind, q) => {
-                let qs = self.lookup_kind(q, SymKind::Queue, span)?;
-                self.code.push(replace_cmd(*kind, qs.slot, dst));
-                Ok(())
-            }
+            PageExpr::Replace(kind, q) => self.replace(*kind, q, dst, span),
             PageExpr::Find(e) => {
                 let slot = self.int_to_slot(e, span)?;
                 self.code.push(build::find(dst, slot));
@@ -797,13 +818,5 @@ fn arith_op(op: IntBinOp) -> ArithOp {
         IntBinOp::Mul => ArithOp::Mul,
         IntBinOp::Div => ArithOp::Div,
         IntBinOp::Mod => ArithOp::Mod,
-    }
-}
-
-fn replace_cmd(kind: ReplaceKind, queue: u8, dst: u8) -> RawCmd {
-    match kind {
-        ReplaceKind::Fifo => build::fifo(queue, dst),
-        ReplaceKind::Lru => build::lru(queue, dst),
-        ReplaceKind::Mru => build::mru(queue, dst),
     }
 }

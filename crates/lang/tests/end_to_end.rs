@@ -201,6 +201,63 @@ fn type_errors_are_caught_by_the_translator() {
     assert!(errs.len() >= 2, "got: {errs:?}");
 }
 
+/// `lru`/`mru` over a queue not declared `recency queue` is a translator
+/// error at the call's source position, so `compile` never hands the
+/// validator a program it rejects for "requires a recency-ordered queue".
+#[test]
+fn lru_and_mru_need_a_recency_queue() {
+    let errs = hipec_lang::compile(
+        "queue plain;\n\
+         event PageFault() { page p = dequeue_head(free_queue); return p; }\n\
+         event ReclaimFrame() {\n\
+             lru(plain);\n\
+             return;\n\
+         }",
+    )
+    .expect_err("lru over a plain queue must not compile");
+    let d = errs
+        .iter()
+        .find(|d| d.message.contains("recency"))
+        .unwrap_or_else(|| panic!("no recency diagnostic in {errs:?}"));
+    assert_eq!(
+        d.span.line, 4,
+        "the diagnostic points at the `lru` call: {d}"
+    );
+
+    // Every replacement command × queue kind × statement/expression
+    // position: either a diagnostic, or a program the validator accepts.
+    for queue in ["queue", "recency queue"] {
+        for op in ["fifo", "lru", "mru"] {
+            for (target, body) in [
+                ("q", format!("{op}(q);")),
+                ("q", format!("page v = {op}(q); release(v);")),
+                ("free_queue", format!("{op}(free_queue);")),
+            ] {
+                let src = format!(
+                    "{queue} q;\n\
+                     event PageFault() {{ page p = dequeue_head(free_queue); return p; }}\n\
+                     event ReclaimFrame() {{ {body} return; }}"
+                );
+                let recency = queue == "recency queue" && target == "q";
+                match hipec_lang::compile(&src) {
+                    Ok(program) => {
+                        assert!(
+                            op == "fifo" || recency,
+                            "`{op}` over a non-recency queue compiled:\n{src}"
+                        );
+                        validate_program(&program)
+                            .unwrap_or_else(|e| panic!("validator rejects\n{src}\n{e:?}"));
+                    }
+                    Err(errs) => {
+                        assert!(op != "fifo" && !recency, "{src}\n{errs:?}");
+                        assert!(errs.iter().any(|d| d.message.contains("recency")));
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn compiled_programs_round_trip_through_the_wire_format() {
     let program = hipec_lang::compile(FIFO_SECOND_CHANCE).expect("compiles");

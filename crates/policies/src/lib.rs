@@ -118,29 +118,6 @@ mod tests {
         }
     }
 
-    /// Every shipped policy lowers completely to native step chains: one
-    /// step per source command in every event, so the JIT covers the whole
-    /// shipped corpus with no interpreter fallback.
-    #[test]
-    fn every_shipped_policy_lowers_to_native_steps() {
-        for kind in PolicyKind::ALL {
-            let program = kind.program();
-            let compiled = hipec_core::jit::compile_policy(&program);
-            assert_eq!(
-                compiled.event_count(),
-                program.events.len(),
-                "{} events lower one-to-one",
-                kind.name()
-            );
-            assert_eq!(
-                compiled.step_count(),
-                program.total_commands(),
-                "{} lowers one step per source command",
-                kind.name()
-            );
-        }
-    }
-
     #[test]
     fn names_are_distinct() {
         let mut names: Vec<_> = PolicyKind::ALL.iter().map(|k| k.name()).collect();

@@ -22,8 +22,8 @@
 //! functions of the recorded multiset (quantile ranks use one f64
 //! multiply, identical on every IEEE-754 platform), so two runs that
 //! record the same virtual-time spans produce bit-identical histograms —
-//! the property `tests/jit.rs` pins across executor backends and
-//! `scripts/verify.sh` pins across reruns.
+//! the property `scripts/verify.sh` pins across reruns by `cmp`ing the
+//! `stats_export` of two identically seeded soaks.
 
 use core::fmt;
 

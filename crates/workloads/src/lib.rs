@@ -22,8 +22,8 @@
 //! * [`web_cache`] — a scan-resistant edge cache: Zipf user traffic with
 //!   periodic one-shot crawler sweeps.
 //! * [`tournament`] — the cross-policy harness: every shipped policy ×
-//!   every workload shape × both executor backends × clean/chaos fault
-//!   plans, with uniform per-cell metrics.
+//!   every workload shape × clean/chaos fault plans, with uniform per-cell
+//!   metrics.
 
 pub mod aim;
 pub mod db;

@@ -1,22 +1,21 @@
 //! The policy tournament: every shipped policy × every workload shape ×
-//! both executor backends × clean/chaos fault plans, with uniform per-cell
-//! metrics.
+//! clean/chaos fault plans, with uniform per-cell metrics.
 //!
 //! The existing workload harnesses (`db`, `matrix`, `join`, …) each build
 //! their own kernel and report their own result shape, which is right for
 //! reproducing individual paper figures but useless for a cross-policy
 //! matrix. The tournament therefore replays *traces* — each workload shape
 //! is reduced to a deterministic `(page, is_write)` sequence — through one
-//! uniform cell driver: fresh kernel, chosen [`ExecBackend`], optional
-//! injected-fault plan, one HiPEC-managed region, periodic whole-kernel
-//! invariant audits, and a fixed metric row per cell ([`Cell`]).
+//! uniform cell driver: fresh kernel, optional injected-fault plan, one
+//! HiPEC-managed region, periodic whole-kernel invariant audits, and a
+//! fixed metric row per cell ([`Cell`]).
 //!
 //! Everything is seeded: the same [`TournamentConfig`] produces the same
 //! traces, the same injected faults, and therefore the same matrix,
 //! bit-for-bit — which is what lets `tests/tournament.rs` pin the matrix
-//! as a golden and assert Interpreter/Native parity cell by cell.
+//! as a golden.
 
-use hipec_core::{ExecBackend, HipecKernel, LatencyMetric, PolicyProgram};
+use hipec_core::{HipecKernel, LatencyMetric, PolicyProgram};
 use hipec_disk::FaultConfig;
 use hipec_policies::PolicyKind;
 use hipec_sim::{DetRng, SimDuration};
@@ -43,8 +42,8 @@ impl Plan {
     }
 
     /// The fault plan to install for this regime, if any. The seed is
-    /// derived per workload (not per backend), so Interpreter and Native
-    /// cells face the identical injected-fault dice.
+    /// derived per workload, so every policy faces the identical
+    /// injected-fault dice.
     fn fault_config(self, seed: u64) -> Option<FaultConfig> {
         match self {
             Plan::Clean => None,
@@ -74,15 +73,13 @@ pub struct Workload {
 }
 
 /// Tournament shape: which policies are implicit (always [`PolicyKind::ALL`]);
-/// this picks the scale, the backends, and the fault regimes.
+/// this picks the scale and the fault regimes.
 #[derive(Debug, Clone)]
 pub struct TournamentConfig {
     /// Master seed; every trace and fault plan derives from it.
     pub seed: u64,
     /// Approximate references per workload trace.
     pub ops: u64,
-    /// Executor backends to run every cell on.
-    pub backends: Vec<ExecBackend>,
     /// Fault regimes to run every cell under.
     pub plans: Vec<Plan>,
     /// Whole-kernel invariant audit cadence (accesses between audits).
@@ -91,12 +88,11 @@ pub struct TournamentConfig {
 
 impl TournamentConfig {
     /// The short matrix the golden regression test pins: small traces,
-    /// both backends, both fault regimes.
+    /// both fault regimes.
     pub fn short() -> Self {
         TournamentConfig {
             seed: 0x70F0,
             ops: 700,
-            backends: vec![ExecBackend::Interpreter, ExecBackend::Native],
             plans: vec![Plan::Clean, Plan::Chaos],
             check_every: 64,
         }
@@ -107,7 +103,6 @@ impl TournamentConfig {
         TournamentConfig {
             seed: 0x70F0,
             ops: 4_000,
-            backends: vec![ExecBackend::Interpreter, ExecBackend::Native],
             plans: vec![Plan::Clean, Plan::Chaos],
             check_every: 256,
         }
@@ -274,15 +269,13 @@ pub fn workloads(cfg: &TournamentConfig) -> Vec<Workload> {
     ]
 }
 
-/// One (policy × workload × backend × plan) measurement.
+/// One (policy × workload × plan) measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cell {
     /// Policy name ([`PolicyKind::name`]).
     pub policy: &'static str,
     /// Workload name.
     pub workload: &'static str,
-    /// Executor backend name.
-    pub backend: &'static str,
     /// Fault regime name.
     pub plan: &'static str,
     /// References issued (the trace length).
@@ -321,13 +314,12 @@ pub struct Cell {
     pub elapsed_ns: u64,
 }
 
-/// Runs one tournament cell: fresh kernel, chosen backend, optional fault
-/// plan, the workload's trace replayed against one policy-managed region,
-/// with the whole-kernel invariant audit every `check_every` references.
+/// Runs one tournament cell: fresh kernel, optional fault plan, the
+/// workload's trace replayed against one policy-managed region, with the
+/// whole-kernel invariant audit every `check_every` references.
 pub fn run_cell(
     kind: PolicyKind,
     workload: &Workload,
-    backend: ExecBackend,
     plan: Plan,
     plan_seed: u64,
     check_every: u64,
@@ -336,7 +328,6 @@ pub fn run_cell(
         kind.name(),
         kind.program(),
         workload,
-        backend,
         plan,
         plan_seed,
         check_every,
@@ -349,7 +340,6 @@ pub fn run_cell_with(
     policy_name: &'static str,
     program: PolicyProgram,
     workload: &Workload,
-    backend: ExecBackend,
     plan: Plan,
     plan_seed: u64,
     check_every: u64,
@@ -358,7 +348,6 @@ pub fn run_cell_with(
     params.total_frames = 2_048;
     params.wired_frames = 64;
     let mut k = HipecKernel::new(params);
-    k.set_backend(backend);
     if let Some(fc) = plan.fault_config(plan_seed) {
         k.vm.set_fault_plan(fc);
     }
@@ -388,9 +377,8 @@ pub fn run_cell_with(
         if (i as u64 + 1).is_multiple_of(check_every) {
             k.check_invariants().map_err(|e| {
                 format!(
-                    "{policy_name}/{}/{}/{}: invariant audit failed mid-run: {e}",
+                    "{policy_name}/{}/{}: invariant audit failed mid-run: {e}",
                     workload.name,
-                    backend.name(),
                     plan.name()
                 )
             })?;
@@ -398,9 +386,8 @@ pub fn run_cell_with(
     }
     k.check_invariants().map_err(|e| {
         format!(
-            "{policy_name}/{}/{}/{}: final invariant audit failed: {e}",
+            "{policy_name}/{}/{}: final invariant audit failed: {e}",
             workload.name,
-            backend.name(),
             plan.name()
         )
     })?;
@@ -411,7 +398,6 @@ pub fn run_cell_with(
     Ok(Cell {
         policy: policy_name,
         workload: workload.name,
-        backend: backend.name(),
         plan: plan.name(),
         accesses,
         ok,
@@ -459,14 +445,14 @@ pub struct Tournament {
     pub ops: u64,
     /// Workload names, in matrix order.
     pub workloads: Vec<&'static str>,
-    /// Every cell, in (workload, policy, backend, plan) order.
+    /// Every cell, in (workload, policy, plan) order.
     pub cells: Vec<Cell>,
     /// Overall ranking, best first.
     pub ranking: Vec<RankRow>,
 }
 
-/// Ranks policies by Borda points over the clean-plan cells of `backend`.
-fn rank(cells: &[Cell], workload_names: &[&'static str], backend: &str) -> Vec<RankRow> {
+/// Ranks policies by Borda points over the clean-plan cells.
+fn rank(cells: &[Cell], workload_names: &[&'static str]) -> Vec<RankRow> {
     let mut rows: Vec<RankRow> = PolicyKind::ALL
         .iter()
         .map(|k| RankRow {
@@ -478,7 +464,7 @@ fn rank(cells: &[Cell], workload_names: &[&'static str], backend: &str) -> Vec<R
     for &wl in workload_names {
         let mut column: Vec<(u64, &'static str)> = cells
             .iter()
-            .filter(|c| c.workload == wl && c.plan == "clean" && c.backend == backend)
+            .filter(|c| c.workload == wl && c.plan == "clean")
             .map(|c| (c.faults, c.policy))
             .collect();
         column.sort();
@@ -496,36 +482,20 @@ fn rank(cells: &[Cell], workload_names: &[&'static str], backend: &str) -> Vec<R
 }
 
 /// Runs the full matrix: every shipped policy × every workload × every
-/// configured backend × every configured plan.
+/// configured plan.
 pub fn run(cfg: &TournamentConfig) -> Result<Tournament, String> {
     let shapes = workloads(cfg);
-    let mut cells = Vec::with_capacity(
-        shapes.len() * PolicyKind::ALL.len() * cfg.backends.len() * cfg.plans.len(),
-    );
+    let mut cells = Vec::with_capacity(shapes.len() * PolicyKind::ALL.len() * cfg.plans.len());
     for (widx, wl) in shapes.iter().enumerate() {
         let plan_seed = workload_seed(cfg.seed, widx as u64) ^ 0xFA_17;
         for kind in PolicyKind::ALL {
-            for &backend in &cfg.backends {
-                for &plan in &cfg.plans {
-                    cells.push(run_cell(
-                        kind,
-                        wl,
-                        backend,
-                        plan,
-                        plan_seed,
-                        cfg.check_every,
-                    )?);
-                }
+            for &plan in &cfg.plans {
+                cells.push(run_cell(kind, wl, plan, plan_seed, cfg.check_every)?);
             }
         }
     }
     let workload_names: Vec<&'static str> = shapes.iter().map(|w| w.name).collect();
-    let first_backend = cfg
-        .backends
-        .first()
-        .map(|b| b.name())
-        .unwrap_or("interpreter");
-    let ranking = rank(&cells, &workload_names, first_backend);
+    let ranking = rank(&cells, &workload_names);
     Ok(Tournament {
         seed: cfg.seed,
         ops: cfg.ops,
@@ -567,24 +537,8 @@ mod tests {
     fn a_single_cell_is_reproducible() {
         let cfg = TournamentConfig::short();
         let wl = &workloads(&cfg)[0];
-        let a = run_cell(
-            PolicyKind::Lru,
-            wl,
-            ExecBackend::Interpreter,
-            Plan::Chaos,
-            7,
-            cfg.check_every,
-        )
-        .expect("cell");
-        let b = run_cell(
-            PolicyKind::Lru,
-            wl,
-            ExecBackend::Interpreter,
-            Plan::Chaos,
-            7,
-            cfg.check_every,
-        )
-        .expect("cell");
+        let a = run_cell(PolicyKind::Lru, wl, Plan::Chaos, 7, cfg.check_every).expect("cell");
+        let b = run_cell(PolicyKind::Lru, wl, Plan::Chaos, 7, cfg.check_every).expect("cell");
         assert_eq!(a, b, "same cell inputs must give a bit-identical row");
         assert!(a.faults > 0 && a.hits > 0);
     }

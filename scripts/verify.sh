@@ -15,24 +15,14 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
-echo "== tracing and jit compiled out: cargo test (vm + core, --no-default-features) =="
+echo "== tracing compiled out: cargo test (vm + core, --no-default-features) =="
 cargo test -q -p hipec-vm -p hipec-core --no-default-features
 
-echo "== jit compiled out, tracing on: cargo test (core, --features trace) =="
-cargo test -q -p hipec-core --no-default-features --features trace
-
-echo "== metrics compiled out: cargo test (core, --features trace,jit) =="
+echo "== metrics compiled out: cargo test (core, --features trace) =="
 # Histogram storage is unconditional; only the recording sites are gated.
 # Kernel behavior, snapshot shapes and all tests must hold with the
 # metrics feature off.
-cargo test -q -p hipec-core --no-default-features --features trace,jit
-
-echo "== native backend: seeded differential sweep (JIT vs interpreter) =="
-# Bit-identical outcomes, KernelStats, virtual time and rendered traces
-# across both executor backends, plus the pinned fault-path parity tests.
-# The vendored proptest is seeded per test name; pin the seed anyway so
-# this gate is the same run everywhere.
-PROPTEST_SEED=0xD1FF517 cargo test -q -p hipec-integration --test jit
+cargo test -q -p hipec-core --no-default-features --features trace
 
 echo "== observability, device-table and executor modules carry no dead-code waivers =="
 if grep -n '#\[allow(dead_code)\]' \
@@ -41,12 +31,12 @@ if grep -n '#\[allow(dead_code)\]' \
     crates/sim/src/hist.rs crates/core/src/hist.rs crates/core/src/obs.rs \
     crates/vm/src/device.rs crates/vm/src/lifecycle.rs crates/vm/src/breaker.rs \
     crates/core/src/health.rs \
-    crates/core/src/jit.rs crates/core/src/executor.rs crates/lang/src/opt.rs \
+    crates/core/src/executor.rs crates/lang/src/opt.rs \
     crates/workloads/src/tournament.rs crates/workloads/src/zipf_kv.rs \
     crates/workloads/src/web_cache.rs crates/policies/src/native.rs \
     crates/core/src/admission.rs crates/workloads/src/tenants.rs \
     crates/bench/src/bin/tenants_soak.rs \
-    tests/jit.rs tests/tournament.rs; then
+    tests/executor_contract.rs tests/tournament.rs; then
   echo "error: dead_code allowed in an observability, device-table or executor module" >&2
   exit 1
 fi
@@ -158,11 +148,11 @@ for ev in vm.device_draining vm.device_drained vm.device_dead vm.object_migrated
 done
 echo "   unplug traces replay bit-for-bit ($(wc -l <"$SOAK_DIR/u1.jsonl") records)"
 
-echo "== tournament: seeded short matrix is schema-v7, clean and replayable =="
+echo "== tournament: seeded short matrix is schema-v8, clean and replayable =="
 # The tournament binary exits non-zero if any cell's invariant audit fails,
 # so the run itself gates whole-kernel consistency across every policy ×
-# workload × backend × plan combination. On top of that: the --json
-# document must have the full shape (cross product, both backends,
+# workload × plan combination. On top of that: the --json document must
+# have the full shape (cross product, no per-cell executor column,
 # per-cell latency percentile columns, a complete ranking) and be
 # bit-identical across reruns.
 cargo run -q --release --bin tournament -- --short --json >"$SOAK_DIR/t1.json"
@@ -174,12 +164,13 @@ fi
 python3 - "$SOAK_DIR/t1.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == 7, f"schema {doc['schema']} != 7"
+assert doc["schema"] == 8, f"schema {doc['schema']} != 8"
+assert "backend" not in doc, "the v8 envelope carries no backend field"
 data = doc["data"]
 policies, workloads, cells = data["policies"], data["workloads"], data["cells"]
 assert len(workloads) == 6, workloads
-assert len(cells) == len(policies) * len(workloads) * 2 * 2, len(cells)
-assert {c["backend"] for c in cells} == {"interpreter", "native"}
+assert len(cells) == len(policies) * len(workloads) * 2, len(cells)
+assert all("backend" not in c for c in cells), "v8 cells carry no backend column"
 assert {c["plan"] for c in cells} == {"clean", "chaos"}
 for c in cells:
     assert c["hits"] + c["faults"] <= c["accesses"], c
@@ -187,14 +178,14 @@ for c in cells:
         assert isinstance(c[col], int), (col, c)
 assert any(c["p99_event_ns"] > 0 for c in cells), "no cell recorded event latency"
 assert [r["policy"] for r in data["ranking"]] and len(data["ranking"]) == len(policies)
-print(f"   v7 matrix OK: {len(cells)} cells, winner {data['ranking'][0]['policy']}")
+print(f"   v8 matrix OK: {len(cells)} cells, winner {data['ranking'][0]['policy']}")
 PY
 
 echo "== tenants: multi-tenant QoS gauntlet gates isolation and replays bit-for-bit =="
 # tenants_soak exits non-zero unless its own QoS gates hold (throttle
 # tripped, throttled healthy tenants all eventually installed, healthy
 # classes under the isolation bound, storm class visibly degraded). On
-# top of that the v7 document must carry all three class rows with the
+# top of that the v8 document must carry all three class rows with the
 # per-class p99s the binary gated on, and be bit-identical across runs.
 cargo run -q --release --bin tenants_soak -- --json >"$SOAK_DIR/q1.json"
 cargo run -q --release --bin tenants_soak -- --json >"$SOAK_DIR/q2.json"
@@ -205,7 +196,7 @@ fi
 python3 - "$SOAK_DIR/q1.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == 7, f"schema {doc['schema']} != 7"
+assert doc["schema"] == 8, f"schema {doc['schema']} != 8"
 data = doc["data"]
 assert data["admission_throttled"] > 0, "arrival bursts never tripped the throttle"
 rows = {c["class"]: c for c in data["classes"]}
@@ -220,7 +211,7 @@ healthy_worst = max(rows[n]["p99_fault_ns"] for n in ("standard", "premium"))
 assert rows["free"]["p99_fault_ns"] > healthy_worst, "storm class did not degrade"
 keys = {r["key"] for r in data["kernel"]["latency"] if r["metric"] == "class_fault"}
 assert keys == {"free", "standard", "premium"}, keys
-print(f"   v7 tenants OK: free p99 {rows['free']['p99_fault_ns']} ns"
+print(f"   v8 tenants OK: free p99 {rows['free']['p99_fault_ns']} ns"
       f" > healthy worst {healthy_worst} ns (bound {bound} ns)")
 PY
 

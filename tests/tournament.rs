@@ -3,21 +3,15 @@
 //! The short tournament (`TournamentConfig::short`) is fully seeded, so its
 //! matrix is a pure function of the config. These tests pin the clean-plan
 //! hit/fault counts for every (policy, workload) cell as goldens, and
-//! assert the two properties the matrix's credibility rests on:
-//!
-//! * bit-identical reruns — same config, same matrix, down to every
-//!   latency quantile and counter, and
-//! * Interpreter/Native parity — the JIT backend must reproduce the
-//!   interpreter's accounting exactly, cell by cell, clean and chaos
-//!   alike (the jit differential tests check single programs; this checks
-//!   whole workload runs end to end).
+//! assert that the matrix is bit-identical across reruns — same config,
+//! same matrix, down to every latency quantile and counter.
 //!
 //! If a deliberate policy/workload change shifts the numbers, regenerate
 //! the golden with:
 //!
 //! ```text
 //! cargo run --release -p hipec-bench --bin tournament -- --short --json \
-//!   | jq -r '.data.cells[] | select(.plan=="clean" and .backend=="interpreter")
+//!   | jq -r '.data.cells[] | select(.plan=="clean")
 //!            | "\(.workload) \(.policy) \(.faults) \(.hits)"'
 //! ```
 
@@ -26,7 +20,7 @@ use std::sync::OnceLock;
 use hipec_policies::PolicyKind;
 use hipec_workloads::tournament::{run, Tournament, TournamentConfig};
 
-/// Clean-plan interpreter cells of the short tournament, one line per
+/// Clean-plan cells of the short tournament, one line per
 /// `(workload, policy)`: `workload policy faults hits`.
 const GOLDEN_CLEAN_MATRIX: &str = "\
 db FIFO 302 398
@@ -88,7 +82,7 @@ fn matrix() -> &'static Tournament {
 fn render_clean_cells(t: &Tournament) -> String {
     t.cells
         .iter()
-        .filter(|c| c.plan == "clean" && c.backend == "interpreter")
+        .filter(|c| c.plan == "clean")
         .map(|c| format!("{} {} {} {}", c.workload, c.policy, c.faults, c.hits))
         .collect::<Vec<_>>()
         .join("\n")
@@ -115,38 +109,11 @@ fn matrix_is_bit_identical_across_reruns() {
 }
 
 #[test]
-fn native_backend_reproduces_every_interpreter_cell() {
-    let t = matrix();
-    let mut compared = 0usize;
-    for interp in t.cells.iter().filter(|c| c.backend == "interpreter") {
-        let native = t
-            .cells
-            .iter()
-            .find(|c| {
-                c.backend == "native"
-                    && c.policy == interp.policy
-                    && c.workload == interp.workload
-                    && c.plan == interp.plan
-            })
-            .expect("every interpreter cell has a native twin");
-        let mut normalized = *native;
-        normalized.backend = interp.backend;
-        assert_eq!(
-            &normalized, interp,
-            "native cell must match interpreter bit for bit: {}/{}/{}",
-            interp.policy, interp.workload, interp.plan
-        );
-        compared += 1;
-    }
-    // 8 policies × 6 workloads × 2 plans.
-    assert_eq!(compared, PolicyKind::ALL.len() * 6 * 2);
-}
-
-#[test]
 fn matrix_covers_the_full_cross_product() {
     let t = matrix();
     assert_eq!(t.workloads.len(), 6);
-    assert_eq!(t.cells.len(), PolicyKind::ALL.len() * 6 * 2 * 2);
+    // 8 policies × 6 workloads × 2 plans.
+    assert_eq!(t.cells.len(), PolicyKind::ALL.len() * 6 * 2);
     assert_eq!(t.ranking.len(), PolicyKind::ALL.len());
     // The ranking is sorted best-first and covers each policy exactly once.
     let mut names: Vec<_> = t.ranking.iter().map(|r| r.policy).collect();
