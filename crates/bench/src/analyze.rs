@@ -25,11 +25,9 @@
 //! per-frame events that retire them (`release`, `forced_seize`,
 //! `orphan_recovered`, `flush_exchange`) or on whole-container transitions
 //! (`terminated`, `quarantined`). Count-only `normal_reclaim` /
-//! `forced_reclaim` records no longer clear a container's entire entry set;
-//! for traces predating the per-frame `forced_seize` event, the old
-//! conservative clearing is available behind
-//! [`AnalyzeOptions::legacy_residency`]. The `trace_analyze` binary wraps
-//! this module; tests feed it synthetic traces.
+//! `forced_reclaim` records do not clear a container's entry set. The
+//! `trace_analyze` binary wraps this module; tests feed it synthetic
+//! traces.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -240,12 +238,6 @@ fn field_u64(obj: &serde_json::Map, key: &str) -> Option<u64> {
 /// Knobs for [`analyze_lines_with`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalyzeOptions {
-    /// Restore the pre-`forced_seize` residency handling: count-only
-    /// `normal_reclaim` / `forced_reclaim` records conservatively clear the
-    /// container's whole residency entry set. Needed only for traces
-    /// recorded before per-frame seizure events existed; on current traces
-    /// it weakens the audit.
-    pub legacy_residency: bool,
     /// Flag an anomaly when the substrate fault latency p99 exceeds this
     /// many virtual ns (0 disables the gate).
     pub gate_p99_fault_ns: u64,
@@ -409,14 +401,6 @@ where
                 if let Some(frame) = field_u64(obj, "frame") {
                     resident.remove(&frame);
                 }
-            }
-            // Count-only summaries. The frames themselves are retired by
-            // the per-frame release / forced_seize records, so the map
-            // stays exact — unless the trace predates those events and
-            // the caller asked for the conservative fallback.
-            "normal_reclaim" | "forced_reclaim" if options.legacy_residency => {
-                let container = field_u64(obj, "container").unwrap_or(u64::MAX);
-                resident.retain(|_, owner| *owner != container);
             }
             "forced_seize" => {
                 if let Some(frame) = field_u64(obj, "frame") {
@@ -624,7 +608,6 @@ mod tests {
         let generous = AnalyzeOptions {
             gate_p99_fault_ns: 1_000_000,
             gate_p99_flush_ns: 1_000_000,
-            ..AnalyzeOptions::default()
         };
         let a = analyze_lines_with(trace.lines(), generous).unwrap();
         assert!(a.is_clean(), "anomalies: {:?}", a.anomalies);
@@ -632,7 +615,6 @@ mod tests {
         let tight = AnalyzeOptions {
             gate_p99_fault_ns: 1_000,
             gate_p99_flush_ns: 100,
-            ..AnalyzeOptions::default()
         };
         let a = analyze_lines_with(trace.lines(), tight).unwrap();
         assert_eq!(a.anomalies.len(), 2, "anomalies: {:?}", a.anomalies);
@@ -814,17 +796,6 @@ mod tests {
         let a = analyze_str(trace).unwrap();
         assert_eq!(a.anomalies.len(), 1, "anomalies: {:?}", a.anomalies);
         assert!(a.anomalies[0].contains("double residency"));
-        // The same trace passes under the legacy fallback for pre-seize
-        // recordings.
-        let legacy = analyze_lines_with(
-            trace.lines(),
-            AnalyzeOptions {
-                legacy_residency: true,
-                ..AnalyzeOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(legacy.is_clean(), "anomalies: {:?}", legacy.anomalies);
     }
 
     #[test]

@@ -7,11 +7,9 @@
 //! lost to ring overwrites). Exits non-zero when anomalies are found, so
 //! it can gate CI.
 //!
-//! Usage: `trace_analyze [FILE] [--json] [--legacy-residency]
-//! [--gate-p99-fault-ns N] [--gate-p99-flush-ns N]` — reads stdin when no
-//! file (or `-`) is given. `--legacy-residency` restores the conservative
-//! clear-on-reclaim residency accounting for traces recorded before
-//! per-frame `forced_seize` events existed. The `--gate-p99-*` flags turn
+//! Usage: `trace_analyze [FILE] [--json] [--gate-p99-fault-ns N]
+//! [--gate-p99-flush-ns N]` — reads stdin when no file (or `-`) is given.
+//! The `--gate-p99-*` flags turn
 //! a latency tail past N virtual ns into an anomaly (and a non-zero exit),
 //! so CI can pin percentile regressions, not just lifecycle bugs.
 
@@ -32,7 +30,6 @@ fn parse_gate(value: Option<String>, flag: &str) -> u64 {
 
 fn main() {
     let json = json_mode();
-    let mut legacy = false;
     let mut gate_fault = 0u64;
     let mut gate_flush = 0u64;
     let mut path: Option<String> = None;
@@ -40,7 +37,6 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--json" | "-" => {}
-            "--legacy-residency" => legacy = true,
             "--gate-p99-fault-ns" => gate_fault = parse_gate(args.next(), "--gate-p99-fault-ns"),
             "--gate-p99-flush-ns" => gate_flush = parse_gate(args.next(), "--gate-p99-flush-ns"),
             _ => path = Some(a),
@@ -65,7 +61,6 @@ fn main() {
     };
 
     let options = AnalyzeOptions {
-        legacy_residency: legacy,
         gate_p99_fault_ns: gate_fault,
         gate_p99_flush_ns: gate_flush,
     };

@@ -72,6 +72,7 @@ pub mod metrics;
 pub mod obs;
 pub mod operand;
 pub mod program;
+mod text;
 pub mod trace;
 
 pub use admission::{AdmissionControl, AdmitReject, ShareClass};
@@ -93,6 +94,6 @@ pub use program::{
     PolicyProgram, WireError, EVENT_PAGE_FAULT, EVENT_RECLAIM_FRAME, HIPEC_MAGIC, OPERAND_SLOTS,
 };
 pub use trace::{
-    event_kind, render_jsonl, CountingSink, EventRing, JsonlSink, MemorySink, TraceEvent,
-    TraceRecord, TraceSink,
+    event_kind, render_jsonl, render_jsonl_into, CountingSink, EventRing, JsonlSink, MemorySink,
+    TraceEvent, TraceRecord, TraceSink,
 };

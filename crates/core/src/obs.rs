@@ -29,9 +29,10 @@ use std::fmt;
 use hipec_sim::{SimDuration, SimTime};
 
 use crate::command::OpCode;
-use crate::hist::LatencyHistogram;
+use crate::hist::{LatencyHistogram, SATURATION_NS};
 use crate::kernel::HipecKernel;
 use crate::metrics::KernelStats;
+use crate::text::{decimal_len, push_u128, push_u64};
 
 /// One in how many attributed commands gets its charge recorded into the
 /// per-opcode histograms. Sampling keeps the profiling hook off the hot
@@ -98,16 +99,26 @@ pub struct LatencyRow {
 
 impl LatencyRow {
     /// The key rendered for humans and export labels: the opcode mnemonic
-    /// for [`LatencyMetric::OpCharge`] rows, the decimal key otherwise.
+    /// for [`LatencyMetric::OpCharge`] rows, the share-class name for
+    /// [`LatencyMetric::ClassFault`] rows, the decimal key otherwise.
     pub fn key_label(&self) -> String {
-        match self.metric {
-            LatencyMetric::OpCharge => OpCode::from_u8(self.key as u8)
-                .map(|op| op.mnemonic().to_string())
-                .unwrap_or_else(|| self.key.to_string()),
-            LatencyMetric::ClassFault => crate::ShareClass::from_index(self.key as usize)
-                .map(|c| c.name().to_string())
-                .unwrap_or_else(|| self.key.to_string()),
-            _ => self.key.to_string(),
+        let mut label = Vec::new();
+        self.push_key_label(&mut label);
+        String::from_utf8(label).expect("key labels are ASCII")
+    }
+
+    /// Appends [`LatencyRow::key_label`] to `out`.
+    fn push_key_label(&self, out: &mut Vec<u8>) {
+        let name = match self.metric {
+            LatencyMetric::OpCharge => OpCode::from_u8(self.key as u8).map(OpCode::mnemonic),
+            LatencyMetric::ClassFault => {
+                crate::ShareClass::from_index(self.key as usize).map(crate::ShareClass::name)
+            }
+            _ => None,
+        };
+        match name {
+            Some(name) => out.extend_from_slice(name.as_bytes()),
+            None => push_u64(out, self.key),
         }
     }
 
@@ -243,18 +254,25 @@ impl HipecKernel {
     /// Assembles the latency rows of a snapshot, in a fixed deterministic
     /// order: kernel scope, occupied opcodes, containers, devices.
     pub(crate) fn latency_rows(&self) -> Vec<LatencyRow> {
-        let mut rows = vec![
-            LatencyRow {
-                metric: LatencyMetric::CheckerInterval,
-                key: 0,
-                hist: self.obs.checker_interval,
-            },
-            LatencyRow {
-                metric: LatencyMetric::PumpDrain,
-                key: 0,
-                hist: self.obs.pump_drain,
-            },
-        ];
+        // Each row carries a whole histogram, so the vector is allocated
+        // at its final length rather than grown (and copied) by doubling.
+        let occupied = |hists: &[LatencyHistogram]| hists.iter().filter(|h| !h.is_empty()).count();
+        let len = 2
+            + occupied(&self.obs.op_charge)
+            + occupied(&self.obs.class_fault)
+            + 2 * self.containers.len()
+            + 3 * self.vm.devices_iter().count();
+        let mut rows = Vec::with_capacity(len);
+        rows.push(LatencyRow {
+            metric: LatencyMetric::CheckerInterval,
+            key: 0,
+            hist: self.obs.checker_interval,
+        });
+        rows.push(LatencyRow {
+            metric: LatencyMetric::PumpDrain,
+            key: 0,
+            hist: self.obs.pump_drain,
+        });
         for (i, h) in self.obs.op_charge.iter().enumerate() {
             if !h.is_empty() {
                 rows.push(LatencyRow {
@@ -304,6 +322,7 @@ impl HipecKernel {
                 hist: *torn,
             });
         }
+        debug_assert_eq!(rows.len(), len);
         rows
     }
 }
@@ -314,16 +333,106 @@ impl HipecKernel {
 /// `_sum` / `_count` and the saturation counter). Output bytes are a pure
 /// function of the snapshot — identically seeded runs export identical
 /// files.
+///
+/// The text is bounded first and then written into one buffer of that
+/// size, so an export costs the same two allocations (the output and a
+/// row-label scratch buffer) whatever the snapshot's size.
 pub fn stats_export(stats: &KernelStats) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(4096);
-    let _ = writeln!(out, "# HELP hipec_counter Global kernel counters.");
-    let _ = writeln!(out, "# TYPE hipec_counter counter");
-    for (name, value) in &stats.global {
-        let _ = writeln!(out, "hipec_counter{{name=\"{name}\"}} {value}");
+    let mut labels = Vec::with_capacity(ROW_LABELS_CAPACITY);
+    let mut bound = ByteBound(0);
+    write_export(&mut bound, stats, &mut labels);
+    let mut out = Vec::with_capacity(bound.0);
+    write_export(&mut out, stats, &mut labels);
+    debug_assert!(out.len() <= bound.0, "{} > {}", out.len(), bound.0);
+    String::from_utf8(out).expect("the export is ASCII")
+}
+
+/// Room for the longest row label, `{metric="container_event",key="` plus
+/// twenty digits and the closing quote.
+const ROW_LABELS_CAPACITY: usize = 64;
+
+/// Where [`write_export`] sends the export: the output buffer, or a
+/// [`ByteBound`] that sizes it beforehand.
+trait ExportOut {
+    fn text(&mut self, s: &[u8]);
+    fn num(&mut self, v: u64);
+    fn wide(&mut self, v: u128);
+    /// One `hipec_latency_ns_bucket{…,le="…"} …` line per occupied bucket
+    /// of `hist`, with cumulative counts.
+    fn buckets(&mut self, labels: &[u8], hist: &LatencyHistogram);
+
+    /// Ends a sample line: `} ` and its value.
+    fn value(&mut self, v: u64) {
+        self.text(b"} ");
+        self.num(v);
+        self.text(b"\n");
     }
-    let _ = writeln!(out, "# HELP hipec_gauge Kernel snapshot gauges.");
-    let _ = writeln!(out, "# TYPE hipec_gauge gauge");
+}
+
+impl ExportOut for Vec<u8> {
+    fn text(&mut self, s: &[u8]) {
+        self.extend_from_slice(s);
+    }
+    fn num(&mut self, v: u64) {
+        push_u64(self, v);
+    }
+    fn wide(&mut self, v: u128) {
+        push_u128(self, v);
+    }
+    fn buckets(&mut self, labels: &[u8], hist: &LatencyHistogram) {
+        let mut cumulative = 0u64;
+        for (_, upper, count) in hist.nonzero_buckets() {
+            cumulative += count;
+            self.text(BUCKET);
+            self.text(labels);
+            self.text(b",le=\"");
+            self.num(upper);
+            self.text(b"\"");
+            self.value(cumulative);
+        }
+    }
+}
+
+/// An upper bound on the bytes an export writes: exact except for bucket
+/// lines, which are bounded per histogram (widest `le`, cumulative count
+/// at most the total) so the buckets need only be counted, not walked.
+struct ByteBound(usize);
+
+impl ExportOut for ByteBound {
+    fn text(&mut self, s: &[u8]) {
+        self.0 += s.len();
+    }
+    fn num(&mut self, v: u64) {
+        self.0 += decimal_len(v);
+    }
+    fn wide(&mut self, v: u128) {
+        self.0 += decimal_len(v);
+    }
+    fn buckets(&mut self, labels: &[u8], hist: &LatencyHistogram) {
+        // Every bucket's upper bound is below the saturation point.
+        const LE_DIGITS: usize = SATURATION_NS.ilog10() as usize + 1;
+        let line = BUCKET.len()
+            + labels.len()
+            + ",le=\"\"} \n".len()
+            + LE_DIGITS
+            + decimal_len(hist.count());
+        self.0 += hist.occupied_buckets() * line;
+    }
+}
+
+const BUCKET: &[u8] = b"hipec_latency_ns_bucket";
+
+/// The body of [`stats_export`]; `labels` is scratch space for each
+/// row's `{metric="…",key="…"` label, built once per row.
+fn write_export<O: ExportOut>(out: &mut O, stats: &KernelStats, labels: &mut Vec<u8>) {
+    out.text(b"# HELP hipec_counter Global kernel counters.\n# TYPE hipec_counter counter\n");
+    for (name, &value) in &stats.global {
+        out.text(b"hipec_counter{name=\"");
+        out.text(name.as_bytes());
+        out.text(b"\"");
+        out.value(value);
+    }
+    out.text(b"# HELP hipec_gauge Kernel snapshot gauges.\n# TYPE hipec_gauge gauge\n");
     for (name, value) in [
         ("at_ns", stats.at.as_ns()),
         ("free_frames", stats.free_frames),
@@ -332,13 +441,15 @@ pub fn stats_export(stats: &KernelStats) -> String {
         ("retry_depth", stats.retry_depth),
         ("dropped_records", stats.dropped_records),
     ] {
-        let _ = writeln!(out, "hipec_gauge{{name=\"{name}\"}} {value}");
+        out.text(b"hipec_gauge{name=\"");
+        out.text(name.as_bytes());
+        out.text(b"\"");
+        out.value(value);
     }
-    let _ = writeln!(
-        out,
-        "# HELP hipec_device Per-device lifecycle, tier and flash-wear state."
+    out.text(
+        b"# HELP hipec_device Per-device lifecycle, tier and flash-wear state.\n\
+          # TYPE hipec_device gauge\n",
     );
-    let _ = writeln!(out, "# TYPE hipec_device gauge");
     for d in &stats.devices {
         for (name, value) in [
             ("tier", d.tier),
@@ -349,55 +460,45 @@ pub fn stats_export(stats: &KernelStats) -> String {
             ("max_wear", d.max_wear),
             ("gc_pauses", d.gc_pauses),
         ] {
-            let _ = writeln!(
-                out,
-                "hipec_device{{device=\"{}\",name=\"{name}\"}} {value}",
-                d.id
-            );
+            out.text(b"hipec_device{device=\"");
+            out.num(u64::from(d.id));
+            out.text(b"\",name=\"");
+            out.text(name.as_bytes());
+            out.text(b"\"");
+            out.value(value);
         }
     }
-    let _ = writeln!(
-        out,
-        "# HELP hipec_latency_ns Virtual-time latency distributions."
+    out.text(
+        b"# HELP hipec_latency_ns Virtual-time latency distributions.\n\
+          # TYPE hipec_latency_ns histogram\n",
     );
-    let _ = writeln!(out, "# TYPE hipec_latency_ns histogram");
     for row in &stats.latency {
-        let labels = format!(
-            "metric=\"{}\",key=\"{}\"",
-            row.metric.name(),
-            row.key_label()
-        );
-        let mut cumulative = 0u64;
-        for (_, upper, count) in row.hist.nonzero_buckets() {
-            cumulative += count;
-            let _ = writeln!(
-                out,
-                "hipec_latency_ns_bucket{{{labels},le=\"{upper}\"}} {cumulative}"
-            );
+        labels.clear();
+        labels.extend_from_slice(b"{metric=\"");
+        labels.extend_from_slice(row.metric.name().as_bytes());
+        labels.extend_from_slice(b"\",key=\"");
+        row.push_key_label(labels);
+        labels.push(b'"');
+        out.buckets(labels, &row.hist);
+        out.text(BUCKET);
+        out.text(labels);
+        out.text(b",le=\"+Inf\"");
+        out.value(row.count());
+        out.text(b"hipec_latency_ns_sum");
+        out.text(labels);
+        out.text(b"} ");
+        out.wide(row.hist.total_ns());
+        out.text(b"\n");
+        for (family, value) in [
+            (&b"hipec_latency_ns_count"[..], row.count()),
+            (b"hipec_latency_saturated", row.saturated()),
+            (b"hipec_latency_max_ns", row.max().as_ns()),
+        ] {
+            out.text(family);
+            out.text(labels);
+            out.value(value);
         }
-        let _ = writeln!(
-            out,
-            "hipec_latency_ns_bucket{{{labels},le=\"+Inf\"}} {}",
-            row.count()
-        );
-        let _ = writeln!(
-            out,
-            "hipec_latency_ns_sum{{{labels}}} {}",
-            row.hist.total_ns()
-        );
-        let _ = writeln!(out, "hipec_latency_ns_count{{{labels}}} {}", row.count());
-        let _ = writeln!(
-            out,
-            "hipec_latency_saturated{{{labels}}} {}",
-            row.saturated()
-        );
-        let _ = writeln!(
-            out,
-            "hipec_latency_max_ns{{{labels}}} {}",
-            row.max().as_ns()
-        );
     }
-    out
 }
 
 #[cfg(test)]

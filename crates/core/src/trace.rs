@@ -21,6 +21,8 @@ use std::fmt;
 use hipec_sim::SimDuration;
 use hipec_vm::{FrameId, VmEvent};
 
+use crate::text::push_u64;
+
 pub use hipec_vm::trace::{EventRing, TraceRecord, DEFAULT_TRACE_CAPACITY};
 
 /// One event in the merged kernel trace.
@@ -396,23 +398,39 @@ pub fn event_kind(event: &TraceEvent) -> &'static str {
     }
 }
 
+/// Bytes a [`JsonlSink`] reserves for its line buffer: the longest line
+/// any record renders to (every field at its type's maximum), newline
+/// included, fits, so the buffer never grows.
+const JSONL_LINE_CAPACITY: usize = 256;
+
 /// Renders one record as a single JSONL object (no trailing newline).
 ///
 /// The schema is stable: every line carries `seq`, `at_ns` and `type`
 /// (see [`event_kind`]), followed by the event's fields in declaration
-/// order. All values are integers or booleans, so the rendering needs no
-/// string escaping and is byte-stable across runs.
+/// order. All values are integers, booleans or bare identifier strings,
+/// so the rendering needs no string escaping and is byte-stable across
+/// runs.
 pub fn render_jsonl(rec: &TraceRecord<TraceEvent>) -> String {
-    use std::fmt::Write as _;
+    let mut s = String::with_capacity(JSONL_LINE_CAPACITY);
+    render_jsonl_into(&mut s, rec);
+    s
+}
 
-    let mut s = String::with_capacity(96);
-    let _ = write!(
-        s,
-        "{{\"seq\":{},\"at_ns\":{},\"type\":\"{}\"",
-        rec.seq,
-        rec.at.as_ns(),
-        event_kind(&rec.event)
-    );
+/// Appends the [`render_jsonl`] rendering of `rec` to `out`, allocating
+/// only if `out` lacks the capacity.
+pub fn render_jsonl_into(out: &mut String, rec: &TraceRecord<TraceEvent>) {
+    let mut bytes = std::mem::take(out).into_bytes();
+    write_jsonl(&mut bytes, rec);
+    *out = String::from_utf8(bytes).expect("JSONL lines are ASCII");
+}
+
+/// Appends the [`render_jsonl`] bytes of `rec` to `out`.
+fn write_jsonl(out: &mut Vec<u8>, rec: &TraceRecord<TraceEvent>) {
+    out.extend_from_slice(b"{\"seq\":");
+    push_u64(out, rec.seq);
+    let mut f = Fields(out);
+    f.num("at_ns", rec.at.as_ns())
+        .ident("type", event_kind(&rec.event));
     match rec.event {
         TraceEvent::Vm(e) => match e {
             VmEvent::Fault {
@@ -428,40 +446,35 @@ pub fn render_jsonl(rec: &TraceRecord<TraceEvent>) -> String {
                     hipec_vm::AccessKind::ZeroFill => "zero_fill",
                     hipec_vm::AccessKind::PageIn => "page_in",
                 };
-                let _ = write!(
-                    s,
-                    ",\"task\":{},\"vpage\":{vpage},\"kind\":\"{kind}\",\"write\":{write},\"latency_ns\":{}",
-                    task.0,
-                    latency.as_ns()
-                );
+                f.num("task", task.0)
+                    .num("vpage", vpage)
+                    .ident("kind", kind)
+                    .flag("write", write)
+                    .num("latency_ns", latency.as_ns());
             }
             VmEvent::ReadError {
                 device,
                 object,
                 offset,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"device\":{},\"object\":{},\"offset\":{offset}",
-                    device.0, object.0
-                );
+                f.num("device", device.0)
+                    .num("object", object.0)
+                    .num("offset", offset);
             }
             VmEvent::PageoutScan { freed, flushed } => {
-                let _ = write!(s, ",\"freed\":{freed},\"flushed\":{flushed}");
+                f.num("freed", freed).num("flushed", flushed);
             }
             VmEvent::FlushStart {
                 device,
                 frame,
                 torn,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"device\":{},\"frame\":{},\"torn\":{torn}",
-                    device.0, frame.0
-                );
+                f.num("device", device.0)
+                    .num("frame", frame.0)
+                    .flag("torn", torn);
             }
             VmEvent::FlushComplete { device, frame } => {
-                let _ = write!(s, ",\"device\":{},\"frame\":{}", device.0, frame.0);
+                f.num("device", device.0).num("frame", frame.0);
             }
             VmEvent::TornRetry {
                 device,
@@ -473,32 +486,29 @@ pub fn render_jsonl(rec: &TraceRecord<TraceEvent>) -> String {
                 frame,
                 attempt,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"device\":{},\"frame\":{},\"attempt\":{attempt}",
-                    device.0, frame.0
-                );
+                f.num("device", device.0)
+                    .num("frame", frame.0)
+                    .num("attempt", attempt);
             }
             VmEvent::FlushAbandoned {
                 device,
                 frame,
                 attempts,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"device\":{},\"frame\":{},\"attempts\":{attempts}",
-                    device.0, frame.0
-                );
+                f.num("device", device.0)
+                    .num("frame", frame.0)
+                    .num("attempts", attempts);
             }
             VmEvent::PumpDeferred { deferred } => {
-                let _ = write!(s, ",\"deferred\":{deferred}");
+                f.num("deferred", deferred);
             }
             VmEvent::BreakerTrip { device, ewma_milli }
-            | VmEvent::BreakerClose { device, ewma_milli } => {
-                let _ = write!(s, ",\"device\":{},\"ewma_milli\":{ewma_milli}", device.0);
+            | VmEvent::BreakerClose { device, ewma_milli }
+            | VmEvent::DeviceDead { device, ewma_milli } => {
+                f.num("device", device.0).num("ewma_milli", ewma_milli);
             }
             VmEvent::BreakerProbe { device, ok } => {
-                let _ = write!(s, ",\"device\":{},\"ok\":{ok}", device.0);
+                f.num("device", device.0).flag("ok", ok);
             }
             VmEvent::DeviceDraining {
                 device,
@@ -506,17 +516,13 @@ pub fn render_jsonl(rec: &TraceRecord<TraceEvent>) -> String {
                 objects,
                 pages,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"device\":{},\"to\":{},\"objects\":{objects},\"pages\":{pages}",
-                    device.0, to.0
-                );
+                f.num("device", device.0)
+                    .num("to", to.0)
+                    .num("objects", objects)
+                    .num("pages", pages);
             }
             VmEvent::DeviceDrained { device } => {
-                let _ = write!(s, ",\"device\":{}", device.0);
-            }
-            VmEvent::DeviceDead { device, ewma_milli } => {
-                let _ = write!(s, ",\"device\":{},\"ewma_milli\":{ewma_milli}", device.0);
+                f.num("device", device.0);
             }
             VmEvent::ObjectMigrated {
                 object,
@@ -525,11 +531,11 @@ pub fn render_jsonl(rec: &TraceRecord<TraceEvent>) -> String {
                 pages,
                 forced,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"object\":{},\"from\":{},\"to\":{},\"pages\":{pages},\"forced\":{forced}",
-                    object.0, from.0, to.0
-                );
+                f.num("object", object.0)
+                    .num("from", from.0)
+                    .num("to", to.0)
+                    .num("pages", pages)
+                    .flag("forced", forced);
             }
         },
         TraceEvent::AdmissionRejected {
@@ -537,16 +543,15 @@ pub fn render_jsonl(rec: &TraceRecord<TraceEvent>) -> String {
             asked,
             throttled,
         } => {
-            let _ = write!(
-                s,
-                ",\"class\":{class},\"asked\":{asked},\"throttled\":{throttled}"
-            );
+            f.num("class", class)
+                .num("asked", asked)
+                .flag("throttled", throttled);
         }
         TraceEvent::Install {
             container,
             min_frames,
         } => {
-            let _ = write!(s, ",\"container\":{container},\"min_frames\":{min_frames}");
+            f.num("container", container).num("min_frames", min_frames);
         }
         TraceEvent::PolicyEvent {
             container,
@@ -554,112 +559,136 @@ pub fn render_jsonl(rec: &TraceRecord<TraceEvent>) -> String {
             commands,
             ok,
         } => {
-            let _ = write!(
-                s,
-                ",\"container\":{container},\"event\":{event},\"commands\":{commands},\"ok\":{ok}"
-            );
+            f.num("container", container)
+                .num("event", event)
+                .num("commands", commands)
+                .flag("ok", ok);
         }
         TraceEvent::PolicyFaultResolved {
             container,
             frame,
             latency,
         } => {
-            let _ = write!(
-                s,
-                ",\"container\":{container},\"frame\":{},\"latency_ns\":{}",
-                frame.0,
-                latency.as_ns()
-            );
+            f.num("container", container)
+                .num("frame", frame.0)
+                .num("latency_ns", latency.as_ns());
         }
         TraceEvent::Terminated {
             container,
             graceful,
         } => {
-            let _ = write!(s, ",\"container\":{container},\"graceful\":{graceful}");
+            f.num("container", container).flag("graceful", graceful);
         }
         TraceEvent::Request {
             container,
             asked,
             granted,
         } => {
-            let _ = write!(
-                s,
-                ",\"container\":{container},\"asked\":{asked},\"granted\":{granted}"
-            );
+            f.num("container", container)
+                .num("asked", asked)
+                .num("granted", granted);
         }
-        TraceEvent::Release { container, frame } => {
-            let _ = write!(s, ",\"container\":{container},\"frame\":{}", frame.0);
+        TraceEvent::Release { container, frame }
+        | TraceEvent::ForcedSeize { container, frame }
+        | TraceEvent::OrphanRecovered { container, frame }
+        | TraceEvent::DeviceFaultSurfaced { container, frame } => {
+            f.num("container", container).num("frame", frame.0);
         }
         TraceEvent::FlushExchange {
             container,
             dirty,
             replacement,
         } => {
-            let _ = write!(
-                s,
-                ",\"container\":{container},\"dirty\":{},\"replacement\":{}",
-                dirty.0, replacement.0
-            );
+            f.num("container", container)
+                .num("dirty", dirty.0)
+                .num("replacement", replacement.0);
         }
         TraceEvent::Migrate { from, to, frame } => {
-            let _ = write!(s, ",\"from\":{from},\"to\":{to},\"frame\":{}", frame.0);
+            f.num("from", from).num("to", to).num("frame", frame.0);
         }
         TraceEvent::NormalReclaim {
             container,
             asked,
             recovered,
         } => {
-            let _ = write!(
-                s,
-                ",\"container\":{container},\"asked\":{asked},\"recovered\":{recovered}"
-            );
+            f.num("container", container)
+                .num("asked", asked)
+                .num("recovered", recovered);
         }
         TraceEvent::ForcedReclaim { container, taken } => {
-            let _ = write!(s, ",\"container\":{container},\"taken\":{taken}");
-        }
-        TraceEvent::ForcedSeize { container, frame } => {
-            let _ = write!(s, ",\"container\":{container},\"frame\":{}", frame.0);
-        }
-        TraceEvent::OrphanRecovered { container, frame } => {
-            let _ = write!(s, ",\"container\":{container},\"frame\":{}", frame.0);
+            f.num("container", container).num("taken", taken);
         }
         TraceEvent::CheckerWake { detected } => {
-            let _ = write!(s, ",\"detected\":{detected}");
+            f.flag("detected", detected);
         }
         TraceEvent::CheckerTimeout { container } => {
-            let _ = write!(s, ",\"container\":{container}");
-        }
-        TraceEvent::DeviceFaultSurfaced { container, frame } => {
-            let _ = write!(s, ",\"container\":{container},\"frame\":{}", frame.0);
+            f.num("container", container);
         }
         TraceEvent::HealthDegraded { container, strikes } => {
-            let _ = write!(s, ",\"container\":{container},\"strikes\":{strikes}");
+            f.num("container", container).num("strikes", strikes);
         }
         TraceEvent::Quarantined {
             container,
             reclaimed,
         } => {
-            let _ = write!(s, ",\"container\":{container},\"reclaimed\":{reclaimed}");
+            f.num("container", container).num("reclaimed", reclaimed);
         }
         TraceEvent::FallbackRestored {
             container,
             readmitted,
         } => {
-            let _ = write!(s, ",\"container\":{container},\"readmitted\":{readmitted}");
+            f.num("container", container).num("readmitted", readmitted);
         }
         TraceEvent::RestoreRamp {
             container,
             admitted,
             outstanding,
         } => {
-            let _ = write!(
-                s,
-                ",\"container\":{container},\"admitted\":{admitted},\"outstanding\":{outstanding}"
-            );
+            f.num("container", container)
+                .num("admitted", admitted)
+                .num("outstanding", outstanding);
         }
     }
-    s.push('}');
-    s
+    out.push(b'}');
+}
+
+/// The JSONL field writer: each call appends `,"name":` and one value.
+struct Fields<'a>(&'a mut Vec<u8>);
+
+impl Fields<'_> {
+    #[inline]
+    fn key(&mut self, name: &str) -> &mut Vec<u8> {
+        self.0.extend_from_slice(b",\"");
+        self.0.extend_from_slice(name.as_bytes());
+        self.0.extend_from_slice(b"\":");
+        self.0
+    }
+
+    /// An unsigned integer field.
+    #[inline]
+    fn num(&mut self, name: &str, value: impl Into<u64>) -> &mut Self {
+        let value = value.into();
+        push_u64(self.key(name), value);
+        self
+    }
+
+    /// A `true` / `false` field.
+    #[inline]
+    fn flag(&mut self, name: &str, value: bool) -> &mut Self {
+        self.key(name)
+            .extend_from_slice(if value { b"true" } else { b"false" });
+        self
+    }
+
+    /// A bare identifier string field (no escaping needed).
+    #[inline]
+    fn ident(&mut self, name: &str, value: &str) -> &mut Self {
+        let out = self.key(name);
+        out.push(b'"');
+        out.extend_from_slice(value.as_bytes());
+        out.push(b'"');
+        self
+    }
 }
 
 /// A sink that renders each record as one JSONL line into a writer.
@@ -670,6 +699,9 @@ pub fn render_jsonl(rec: &TraceRecord<TraceEvent>) -> String {
 /// (a broken sink must never abort the simulation).
 pub struct JsonlSink<W: std::io::Write> {
     out: W,
+    /// The line being rendered, reused for every record so steady-state
+    /// recording allocates nothing.
+    line: Vec<u8>,
     written: u64,
     io_errors: u64,
 }
@@ -679,6 +711,7 @@ impl<W: std::io::Write> JsonlSink<W> {
     pub fn new(out: W) -> Self {
         JsonlSink {
             out,
+            line: Vec::with_capacity(JSONL_LINE_CAPACITY),
             written: 0,
             io_errors: 0,
         }
@@ -708,9 +741,10 @@ impl<W: std::io::Write> JsonlSink<W> {
 
 impl<W: std::io::Write> TraceSink for JsonlSink<W> {
     fn record(&mut self, rec: &TraceRecord<TraceEvent>) {
-        let mut line = render_jsonl(rec);
-        line.push('\n');
-        match self.out.write_all(line.as_bytes()) {
+        self.line.clear();
+        write_jsonl(&mut self.line, rec);
+        self.line.push(b'\n');
+        match self.out.write_all(&self.line) {
             Ok(()) => self.written += 1,
             Err(_) => self.io_errors += 1,
         }

@@ -189,17 +189,39 @@ impl LatencyHistogram {
         out
     }
 
+    /// Number of occupied buckets: the length of
+    /// [`LatencyHistogram::nonzero_buckets`], without walking it.
+    pub fn occupied_buckets(&self) -> usize {
+        self.buckets[..self.scan_end()]
+            .iter()
+            .filter(|&&c| c != 0)
+            .count()
+    }
+
+    /// One past the last bucket that can be occupied: no bucket above the
+    /// maximum's octave holds a sample.
+    fn scan_end(&self) -> usize {
+        (Self::index_of(self.max_ns) / SUB_BUCKETS + 1) * SUB_BUCKETS
+    }
+
     /// The occupied buckets as `(lower_ns, upper_ns, count)` triples in
     /// ascending order — the serialization surface for `stats_export`
     /// and bench `--json`.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.buckets
-            .iter()
+        // Whole empty octaves are skipped with one test each.
+        self.buckets[..self.scan_end()]
+            .chunks_exact(SUB_BUCKETS)
             .enumerate()
-            .filter(|(_, &c)| c != 0)
-            .map(|(idx, &c)| {
-                let (lower, upper) = Self::bounds_of(idx);
-                (lower, upper, c)
+            .filter(|(_, group)| group.iter().fold(0, |any, &c| any | c) != 0)
+            .flat_map(|(g, group)| {
+                group
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &c)| c != 0)
+                    .map(move |(offset, &c)| {
+                        let (lower, upper) = Self::bounds_of(g * SUB_BUCKETS + offset);
+                        (lower, upper, c)
+                    })
             })
     }
 }

@@ -26,7 +26,8 @@ cargo test -q -p hipec-core --no-default-features --features trace
 
 echo "== observability, device-table and executor modules carry no dead-code waivers =="
 if grep -n '#\[allow(dead_code)\]' \
-    crates/vm/src/trace.rs crates/core/src/trace.rs crates/core/src/metrics.rs \
+    crates/vm/src/trace.rs crates/core/src/trace.rs crates/core/src/text.rs \
+    crates/core/src/metrics.rs \
     crates/bench/src/analyze.rs \
     crates/sim/src/hist.rs crates/core/src/hist.rs crates/core/src/obs.rs \
     crates/vm/src/device.rs crates/vm/src/lifecycle.rs crates/vm/src/breaker.rs \
